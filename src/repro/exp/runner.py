@@ -33,6 +33,7 @@ header whose ``spec_hash`` does not match the spec being resumed raises
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
@@ -636,8 +637,17 @@ def run_many(configs: Sequence[Any], runner: Callable[[Any], Any], *,
         _run_forkserver(pending, fork_boot, workers, record)
         return outcomes
     if workers <= 1 or len(pending) < 2:
-        for index, config in pending:
-            record(index, runner(config))
+        # A finished run's cluster is one big reference cycle.  Reap it
+        # before the next run builds its own, or dead clusters set the
+        # peak RSS; freezing what already lives keeps each collection
+        # proportional to the run just finished.
+        gc.freeze()
+        try:
+            for index, config in pending:
+                record(index, runner(config))
+                gc.collect()
+        finally:
+            gc.unfreeze()
         return outcomes
     # fork (where available) shares the already-imported simulator
     # modules with the children; spawn re-imports and still works.

@@ -926,7 +926,7 @@ class Mcp:
             msg_id=token.msg_id, error=reason, context=token.context))
 
     def _transmit(self, pkt: Packet) -> None:
-        """Hand a packet to the packet-interface engine (non-blocking).
+        """Queue a packet on the packet interface's wire (non-blocking).
 
         A packet addressed to this very interface loops back through the
         receive ring without touching the wire — GM supports self-sends.
@@ -934,10 +934,7 @@ class Mcp:
         if pkt.dest_node == self.node_id:
             self.nic.deliver_packet(pkt)
             return
-        self.sim.spawn(self._tx_engine(pkt), name="%s.tx" % self.name)
-
-    def _tx_engine(self, pkt: Packet) -> Generator:
-        yield from self.nic.send_packet(pkt)
+        self.nic.link.transmit(pkt)
 
     # -- receive path ----------------------------------------------------------
 

@@ -72,6 +72,11 @@ class NicPort:
             raise RuntimeError("%s is not cabled" % self.name)
         return self.link.send(self, packet, on_accept)
 
+    def transmit(self, packet) -> None:
+        if self.link is None:
+            raise RuntimeError("%s is not cabled" % self.name)
+        self.link.transmit(self, packet)
+
 
 class Fabric:
     """The set of switches, links and NIC attachments of one network."""

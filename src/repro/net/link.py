@@ -1,19 +1,21 @@
 """Full-duplex Myrinet links.
 
 A link connects two endpoints (a NIC's packet interface or a switch
-port).  Each direction is an independent serialized pipe at Myrinet's
-2 Gb/s (250 bytes/µs) plus a small fixed propagation/SERDES latency.
-Transmission holds the directional pipe for the packet's wire time —
-that is where link-level contention and therefore backpressure-at-the-
-edge come from.
+port).  Each direction is an independent FIFO wire at Myrinet's 2 Gb/s
+(250 bytes/µs) plus a small fixed propagation/SERDES latency.  A packet
+holds its direction for its wire time — that is where link-level
+contention and therefore backpressure-at-the-edge come from.
 
-Delivery is decoupled from transmission: once a packet clears the wire,
-its arrival rides a per-direction :class:`_DeliveryQueue` — one armed
-timer carrying a deque of in-flight packets instead of a heap entry per
-packet, so back-to-back deliveries on a hot link coalesce.  The same
-queue is the shard-boundary channel of the sharded simulator: when the
-two endpoints live on different event wheels the arrival crosses through
-a :class:`repro.sim.ShardChannel` instead of being armed directly.
+Because the wire is FIFO and every delay on it is fixed, both instants
+of a packet's crossing are known when it is queued: it starts at
+``max(ready, free_at)`` and clears ``wire_size / bandwidth`` later.  Each
+direction therefore keeps two :class:`_TimedQueue` deques — transmissions
+waiting to clear, and cleared packets in flight to the far end — each
+walked by one armed timer instead of a process and a heap entry per
+packet.  The in-flight queue is also the shard-boundary channel of the
+sharded simulator: when the two endpoints live on different event wheels
+the arrival crosses through a :class:`repro.sim.ShardChannel` instead of
+being armed directly.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Generator, Optional
 
-from ..sim import Pipe, Simulator, Tracer
+from ..sim import Simulator, Tracer
 
 __all__ = ["Link", "LINK_BANDWIDTH", "LINK_LATENCY"]
 
@@ -40,28 +42,37 @@ def _endpoint_sim(endpoint, default: Simulator) -> Simulator:
     return wheel if wheel is not None else default
 
 
-class _DeliveryQueue:
-    """In-flight packets of one link direction, one armed timer total.
+def _flight_state(when, packet, duplicate, on_accept) -> dict:
+    return {
+        "when": when,
+        "packet": packet.ckpt_state(),
+        "duplicate": duplicate.ckpt_state() if duplicate is not None else None,
+        "on_accept": on_accept is not None,
+    }
 
-    Arrivals are pushed in nondecreasing time order (the directional
-    pipe serializes transmissions and the wire latency is constant), so
-    a deque plus a single re-armed absolute timer replaces one heap
-    entry per packet — and same-instant deliveries drain in one firing.
+
+class _TimedQueue:
+    """Time-ordered entries of one link direction, one armed timer total.
+
+    Entries are pushed in nondecreasing time order (the wire serializes
+    transmissions and every delay on it is constant), so a deque plus a
+    single re-armed absolute timer replaces one heap entry per packet —
+    and same-instant entries drain in one firing.  ``handler`` receives
+    each due entry's fields; the first is the instant it was due.
     """
 
-    __slots__ = ("link", "receiver", "sim", "queue", "armed")
+    __slots__ = ("sim", "handler", "queue", "armed")
 
-    def __init__(self, link: "Link", receiver, sim: Simulator):
-        self.link = link
-        self.receiver = receiver
+    def __init__(self, sim: Simulator, handler):
         self.sim = sim
+        self.handler = handler
         self.queue: deque = deque()
         self.armed = None
 
-    def push(self, when: float, packet, duplicate, on_accept) -> None:
-        self.queue.append((when, packet, duplicate, on_accept))
+    def push(self, *entry) -> None:
+        self.queue.append(entry)
         if self.armed is None:
-            self._arm(when)
+            self._arm(entry[0])
 
     def _arm(self, when: float) -> None:
         timer = self.sim.timeout_at(when)
@@ -72,37 +83,134 @@ class _DeliveryQueue:
         self.armed = None
         queue = self.queue
         now = self.sim._now
-        deliver = self.link._deliver
-        receiver = self.receiver
+        handler = self.handler
         while queue and queue[0][0] <= now:
-            entry = queue.popleft()
-            deliver(receiver, entry[1], entry[2], entry[3])
+            handler(*queue.popleft())
         if queue:
             self._arm(queue[0][0])
 
+
+class _Wire:
+    """One direction of a link: a FIFO wire in closed form.
+
+    ``clearing`` holds queued transmissions by the instant each clears
+    the wire (sender's wheel); ``arriving`` holds cleared packets by the
+    instant they reach ``receiver`` (receiver's wheel).  ``post`` files a
+    cleared packet under its arrival instant: ``arriving.push``, or a
+    cross-shard direction's ``channel.post``.
+    """
+
+    __slots__ = ("link", "receiver", "sim", "bandwidth", "free_at",
+                 "bytes_moved", "busy_time", "clearing", "arriving",
+                 "channel", "post")
+
+    def __init__(self, link: "Link", receiver, sim: Simulator,
+                 receiver_sim: Simulator, bandwidth: float):
+        if bandwidth <= 0:
+            raise ValueError("bandwidth must be positive")
+        self.link = link
+        self.receiver = receiver
+        self.sim = sim
+        self.bandwidth = bandwidth
+        self.free_at = 0.0      # when the last queued packet clears
+        self.bytes_moved = 0
+        self.busy_time = 0.0    # wire time of the packets cleared so far
+        self.clearing = _TimedQueue(sim, self._clear)
+        self.arriving = _TimedQueue(receiver_sim, self._arrive)
+        self.channel = None
+        self.post = self.arriving.push
+
+    def transmit(self, packet, delay, on_accept, done) -> None:
+        # The exact floats a request -> grant -> hold -> release chain
+        # on a rate-limited pipe yields: a waiting packet starts at the
+        # instant its predecessor clears.
+        start = self.sim._now + delay
+        if start < self.free_at:
+            start = self.free_at
+        nbytes = packet.wire_size
+        self.free_at = clear = start + nbytes / self.bandwidth
+        self.clearing.push(clear, start, nbytes, packet, on_accept, done)
+
+    def _clear(self, clear, start, nbytes, packet, on_accept, done) -> None:
+        """The packet's tail leaves the sender: account, filter, launch."""
+        self.bytes_moved += nbytes
+        self.busy_time += clear - start
+        link = self.link
+        ok = True
+        duplicate = None
+        if not link.up:
+            link.tracer.emit(clear, "link", "link_down_drop",
+                             packet=packet.describe())
+            ok = False
+        elif link.fault_filter is not None:
+            verdict = link.fault_filter(packet)
+            if verdict == "corrupt":
+                # Wire bit-rot: the packet arrives but its CRC is stale.
+                packet.corrupt_payload(bit=1)
+                link.packets_corrupted += 1
+            elif verdict == "duplicate":
+                # A retransmission artefact / reflection: the far end sees
+                # the packet twice.  Clone before delivery because switches
+                # consume the route list in place.
+                duplicate = packet.clone_for_retransmit()
+                duplicate.ingress_ports = list(packet.ingress_ports)
+            elif verdict:
+                link.packets_dropped += 1
+                link.tracer.emit(clear, "link", "fault_drop",
+                                 packet=packet.describe())
+                ok = False
+        if ok:
+            self.post(clear + link.latency, packet, duplicate, on_accept)
+        if done is not None:
+            done.succeed(ok)
+
+    def _arrive(self, _when, packet, duplicate, on_accept) -> None:
+        """Complete one arrival (runs on the receiver's wheel)."""
+        link = self.link
+        link.packets_carried += 1
+        accepted = self.receiver.deliver_packet(packet)
+        if duplicate is not None:
+            link.packets_duplicated += 1
+            link.tracer.emit(self.arriving.sim.now, "link",
+                             "fault_duplicate", packet=duplicate.describe())
+            self.receiver.deliver_packet(duplicate)
+        if accepted and on_accept is not None:
+            on_accept()
+
+    def utilization(self, elapsed: Optional[float] = None) -> float:
+        """Fraction of time the wire was busy."""
+        now = self.sim.now
+        busy = self.busy_time
+        queue = self.clearing.queue
+        if queue and queue[0][1] <= now:    # the head packet is on the wire
+            busy += now - queue[0][1]
+        span = elapsed if elapsed is not None else now
+        return busy / span if span > 0 else 0.0
+
     def ckpt_state(self) -> dict:
-        """Snapshot contract: in-flight arrivals of this direction."""
+        """Snapshot contract: wire occupancy, queued and in-flight packets."""
         return {
-            "armed": self.armed is not None,
-            "queue": [
-                {
-                    "when": when,
-                    "packet": packet.ckpt_state(),
-                    "duplicate": duplicate.ckpt_state()
-                    if duplicate is not None else None,
-                    "on_accept": on_accept is not None,
-                }
-                for when, packet, duplicate, on_accept in self.queue
-            ],
+            "bandwidth": self.bandwidth,
+            "free_at": self.free_at,
+            "bytes_moved": self.bytes_moved,
+            "busy_time": self.busy_time,
+            "clearing": [
+                {"clear": clear, "start": start, "packet": packet.ckpt_state(),
+                 "on_accept": on_accept is not None, "done": done is not None}
+                for clear, start, _n, packet, on_accept, done
+                in self.clearing.queue],
+            "arriving": {"armed": self.arriving.armed is not None,
+                         "queue": [_flight_state(*entry)
+                                   for entry in self.arriving.queue]},
         }
 
 
 class Link:
-    """Two endpoints, one pipe per direction.
+    """Two endpoints, one FIFO wire per direction.
 
     Endpoints must expose ``deliver_packet(packet) -> bool`` (and, for
-    tracing, a ``name`` attribute).  Use :meth:`send` from the endpoint
-    that is transmitting.
+    tracing, a ``name`` attribute).  The transmitting endpoint calls
+    :meth:`transmit`, or :meth:`send` if it waits for the wire to clear.
     """
 
     def __init__(self, sim: Simulator, end_a, end_b,
@@ -115,19 +223,11 @@ class Link:
         self.latency = latency
         sim_a = _endpoint_sim(end_a, sim)
         sim_b = _endpoint_sim(end_b, sim)
-        self._sims = {id(end_a): sim_a, id(end_b): sim_b}
-        self._pipes = {
-            id(end_a): Pipe(sim_a, bandwidth),  # direction: a -> b
-            id(end_b): Pipe(sim_b, bandwidth),  # direction: b -> a
+        # Keyed by sender; arrivals land on the *receiver's* wheel.
+        self._wires = {
+            id(end_a): _Wire(self, end_b, sim_a, sim_b, bandwidth),
+            id(end_b): _Wire(self, end_a, sim_b, sim_a, bandwidth),
         }
-        # Arrivals land on the *receiver's* wheel.
-        self._delivery = {
-            id(end_a): _DeliveryQueue(self, end_b, sim_b),
-            id(end_b): _DeliveryQueue(self, end_a, sim_a),
-        }
-        # Cross-shard directions route through ShardChannels; filled in
-        # by _bind_shards() when the endpoint wheels differ.
-        self._channels = {}
         if sim_a is not sim_b:
             self._bind_shards(sim_a, sim_b)
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
@@ -154,14 +254,11 @@ class Link:
                 "conservative protocol needs positive lookahead — give the "
                 "link latency or co-locate both endpoints on one shard"
                 % self.describe_ends())
-        self._channels = {
-            id(self.end_a): ShardChannel(scheduler, sim_a, sim_b,
-                                         self.latency,
-                                         self._delivery[id(self.end_a)]),
-            id(self.end_b): ShardChannel(scheduler, sim_b, sim_a,
-                                         self.latency,
-                                         self._delivery[id(self.end_b)]),
-        }
+        for wire in self._wires.values():
+            wire.channel = ShardChannel(scheduler, wire.sim,
+                                        wire.arriving.sim, self.latency,
+                                        wire.arriving)
+            wire.post = wire.channel.post
 
     def other(self, endpoint):
         if endpoint is self.end_a:
@@ -170,60 +267,27 @@ class Link:
             return self.end_a
         raise ValueError("%r is not attached to this link" % (endpoint,))
 
-    def send(self, sender, packet, on_accept=None) -> Generator:
-        """Process: transmit ``packet`` from ``sender`` to the other end.
+    def transmit(self, sender, packet, delay: float = 0.0,
+                 on_accept=None, done=None) -> None:
+        """Queue ``packet`` on ``sender``'s wire, ready ``delay`` from now.
 
-        Returns True once the packet has cleared the wire toward the far
-        end (False on a cut link or a fault-filter drop — either way the
-        sender's protocol layer must recover, which is exactly GM's job).
-        Delivery itself completes one wire latency later on the
-        receiver's wheel; ``on_accept`` is called then if the far end
-        accepted the packet.
+        It clears the wire after every packet queued before it (``delay``
+        must be one constant per direction, so ready order is queue
+        order).  A cut link or a fault-filter drop loses it at that
+        instant — the sender's protocol layer must recover, which is
+        exactly GM's job.  Delivery completes one wire latency later on
+        the receiver's wheel; ``on_accept`` is called then if the far end
+        accepted the packet.  ``done``, if given, is an event succeeded
+        at wire-clear with whether the packet went on toward the far end.
         """
-        sim = self._sims[id(sender)]
-        pipe = self._pipes[id(sender)]
-        yield from pipe.transfer(packet.wire_size)
-        if not self.up:
-            self.tracer.emit(sim.now, "link", "link_down_drop",
-                             packet=packet.describe())
-            return False
-        duplicate = None
-        if self.fault_filter is not None:
-            verdict = self.fault_filter(packet)
-            if verdict == "corrupt":
-                # Wire bit-rot: the packet arrives but its CRC is stale.
-                packet.corrupt_payload(bit=1)
-                self.packets_corrupted += 1
-            elif verdict == "duplicate":
-                # A retransmission artefact / reflection: the far end sees
-                # the packet twice.  Clone before delivery because switches
-                # consume the route list in place.
-                duplicate = packet.clone_for_retransmit()
-                duplicate.ingress_ports = list(packet.ingress_ports)
-            elif verdict:
-                self.packets_dropped += 1
-                self.tracer.emit(sim.now, "link", "fault_drop",
-                                 packet=packet.describe())
-                return False
-        when = sim._now + self.latency
-        channel = self._channels.get(id(sender))
-        if channel is not None:
-            channel.post(when, packet, duplicate, on_accept)
-        else:
-            self._delivery[id(sender)].push(when, packet, duplicate, on_accept)
-        return True
+        self._wires[id(sender)].transmit(packet, delay, on_accept, done)
 
-    def _deliver(self, receiver, packet, duplicate, on_accept) -> None:
-        """Complete one arrival (runs on the receiver's wheel)."""
-        self.packets_carried += 1
-        accepted = receiver.deliver_packet(packet)
-        if duplicate is not None:
-            self.packets_duplicated += 1
-            self.tracer.emit(self._sims[id(receiver)].now, "link",
-                             "fault_duplicate", packet=duplicate.describe())
-            receiver.deliver_packet(duplicate)
-        if accepted and on_accept is not None:
-            on_accept()
+    def send(self, sender, packet, on_accept=None) -> Generator:
+        """Process: :meth:`transmit` and wait for the wire to clear."""
+        done = self._wires[id(sender)].sim.event()
+        self.transmit(sender, packet, 0.0, on_accept, done)
+        ok = yield done
+        return ok
 
     def cut(self) -> None:
         """Take the link down (packets in flight are lost)."""
@@ -247,8 +311,8 @@ class Link:
                             getattr(self.end_b, "name", "?"))
 
     def ckpt_state(self) -> dict:
-        """Snapshot contract: direction pipes, in-flight queues, faults."""
-        ka, kb = id(self.end_a), id(self.end_b)
+        """Snapshot contract: both wires, fault state, boundary channels."""
+        wires = [self._wires[id(self.end_a)], self._wires[id(self.end_b)]]
         return {
             "ends": self.describe_ends(),
             "up": self.up,
@@ -259,10 +323,7 @@ class Link:
             "corrupted": self.packets_corrupted,
             "cuts": self.cuts,
             "fault_filter": self.fault_filter is not None,
-            "pipes": [self._pipes[ka].ckpt_state(),
-                      self._pipes[kb].ckpt_state()],
-            "delivery": [self._delivery[ka].ckpt_state(),
-                         self._delivery[kb].ckpt_state()],
-            "channels": [self._channels[k].ckpt_state()
-                         for k in (ka, kb) if k in self._channels],
+            "wires": [wire.ckpt_state() for wire in wires],
+            "channels": [wire.channel.ckpt_state() for wire in wires
+                         if wire.channel is not None],
         }

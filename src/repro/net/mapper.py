@@ -80,6 +80,11 @@ class NodeRoutes:
         self.hops = len(self.forward)
 
 
+# Mapper messages whose ``control`` mapping the receiver reads.
+_CONTROL_TYPES = (PacketType.MAPPER_REPLY, PacketType.MAPPER_CONFIG,
+                  PacketType.MAPPER_DONE, PacketType.MAPPER_PORTINFO)
+
+
 class MapperAgent:
     """Per-node mapper protocol endpoint, driven by that node's MCP.
 
@@ -103,9 +108,25 @@ class MapperAgent:
         self.portinfos: Store = Store(sim)   # switch port-census answers
         self.scouts_seen = 0
         self.configs_installed = 0
+        self.malformed_drops = 0
 
     def handle(self, packet: Packet) -> bool:
-        """Dispatch a MAPPER_* packet; returns False for other types."""
+        """Dispatch a MAPPER_* packet; returns False for other types.
+
+        A corrupted header can dress any packet as a mapper message, so
+        one whose ``control`` is not the mapping its type carries is
+        counted and dropped here rather than trusted downstream.
+        """
+        control = packet.control
+        if packet.ptype in _CONTROL_TYPES and (
+                not isinstance(control, dict)
+                or (packet.ptype == PacketType.MAPPER_CONFIG
+                    and not isinstance(control.get("routes"), dict))):
+            self.malformed_drops += 1
+            self.tracer.emit(self.sim.now, "mapper%d" % self.node_id,
+                             "mapper_malformed_drop",
+                             packet=packet.describe())
+            return True
         if packet.ptype == PacketType.MAPPER_SCOUT:
             self.scouts_seen += 1
             reply = Packet(

@@ -3,7 +3,7 @@
 A Myrinet switch reads the leading route byte of an incoming packet,
 strips it, and cuts the packet through to that output port; contention
 for an output is resolved by blocking (backpressure), which we model by
-queueing on the output link's directional pipe.  The M3M-SW8 used in the
+queueing on the output link's directional wire.  The M3M-SW8 used in the
 paper is an 8-port crossbar.
 
 Simplifications (documented in DESIGN.md):
@@ -76,12 +76,6 @@ class Switch:
         self.dead_port_drops = 0
         self.queries_answered = 0
         self.tier: Optional[str] = None  # set by Clos/fat-tree generators
-        # Spawn names, formatted once: _arrived/_flood run per hop per
-        # packet, and "%s.fwd" % name per spawn is measurable at
-        # hundreds of thousands of forwards per storm.
-        self._fwd_name = "%s.fwd" % self.name
-        self._flood_name = "%s.flood" % self.name
-        self._query_name = "%s.query" % self.name
 
     def port(self, index: int) -> SwitchPort:
         return self.ports[index]
@@ -143,8 +137,8 @@ class Switch:
                              out_port=out_index, packet=packet.describe())
             return False
         out_port = self.ports[out_index]
-        self.sim.spawn(self._forward(out_port, packet),
-                       name=self._fwd_name)
+        out_port.link.transmit(out_port, packet, SWITCH_LATENCY,
+                               self._accepted)
         return True
 
     def port_info(self) -> dict:
@@ -191,19 +185,15 @@ class Switch:
                        control=self.port_info())
         self.tracer.emit(self.sim.now, self.name, "switch_query_answered",
                          to=packet.src_node)
-        self.sim.spawn(self._forward(self.ports[in_port], reply),
-                       name=self._query_name)
+        out_port = self.ports[in_port]
+        out_port.link.transmit(out_port, reply, SWITCH_LATENCY,
+                               self._accepted)
         return True
 
-    def _forward(self, out_port: SwitchPort, packet: Packet):
-        yield self.sim.timeout(SWITCH_LATENCY)
+    def _accepted(self) -> None:
         # ``forwarded`` counts far-end acceptances; with delivery decoupled
         # from transmission (and possibly completing on another shard's
-        # wheel) the link reports acceptance through a callback.
-        yield from out_port.link.send(out_port, packet,
-                                      on_accept=self._count_forward)
-
-    def _count_forward(self) -> None:
+        # wheel) the link reports acceptance through this callback.
         self.forwarded += 1
 
     def _flood(self, in_port: int, packet: Packet) -> bool:
@@ -222,8 +212,8 @@ class Switch:
                     or out_port.index in self.dead_ports:
                 continue
             copy = packet.clone_flood_copy(in_port, out_port.index)
-            self.sim.spawn(self._forward(out_port, copy),
-                           name=self._flood_name)
+            out_port.link.transmit(out_port, copy, SWITCH_LATENCY,
+                                   self._accepted)
             sent_any = True
         return sent_any
 

@@ -246,6 +246,12 @@ class Process(Event):
         self._injected = exc
         self.sim._schedule_resume(self, None, exc)
 
+    def _release(self) -> None:
+        """Drop the exited generator and the process <-> bound-method
+        cycle, so a finished process is freed by refcount alone."""
+        self._gen = self._send = self._throw = None
+        self._resume_cb = self._waiting_on = None
+
     def _resume(self, event) -> None:
         """Advance the generator one step.
 
@@ -269,11 +275,13 @@ class Process(Event):
                 target = self._send(event._value)
         except StopIteration as stop:
             sim.active_process = None
+            self._release()
             if not self.triggered:
                 self.succeed(stop.value)
             return
         except BaseException as err:
             sim.active_process = None
+            self._release()
             if self.triggered:
                 raise
             if isinstance(err, Interrupt) or err is self._injected:

@@ -104,6 +104,32 @@ class TestExecutionModes:
         assert live == recorded
 
 
+    def test_mid_burst_on_a_shared_uplink_round_trips(self, tmp_path):
+        # 29.2 ms into rack-loss/ftgm a path-detector scout flood is
+        # crossing the 16-node fat-tree: agg->core uplinks hold several
+        # queued transmissions whose clear instants were computed when
+        # they were queued.  Those queues are hashed state, and a replay
+        # must rebuild them entry for entry.
+        spec = get_experiment("closfault").build_spec(
+            {"scale": "small", "nodes": 16, "radix": 4})
+        snapshot, restored = _roundtrip_bytes(spec, tmp_path, "burst",
+                                              at=29_216.0, run_index=0)
+        uplinks = [link for link in snapshot.capture["state"]["fabric"]["links"]
+                   if "nic" not in link["ends"]]
+        queued = [wire["clearing"] for link in uplinks
+                  for wire in link["wires"] if len(wire["clearing"]) >= 2]
+        assert queued, "expected a burst queued on a switch-to-switch wire"
+        for entries in queued:
+            clears = [entry["clear"] for entry in entries]
+            assert clears == sorted(clears) and clears[0] > snapshot.at_us
+            assert all(later["start"] >= earlier["clear"]   # FIFO, no overlap
+                       for earlier, later in zip(entries, entries[1:]))
+        live = {link.describe_ends(): link
+                for link in restored.cluster.fabric.links}
+        for link in uplinks:
+            assert live[link["ends"]].ckpt_state() == link
+
+
 class TestTimeTravel:
     def test_restore_and_step_advances_the_clock(self, tmp_path):
         spec = _netfaults_spec(SEEDS[0])

@@ -1,7 +1,9 @@
-"""Mapper robustness: lost CONFIG retries and post-fault re-mapping."""
+"""Mapper robustness: lost CONFIG retries, malformed control, re-mapping."""
+
+import pytest
 
 from repro.cluster import build_cluster
-from repro.net import Mapper, PacketType
+from repro.net import Mapper, Packet, PacketType
 from repro.netfaults import NetworkFaultPlane
 from repro.sim import SeededRng
 
@@ -54,6 +56,42 @@ class TestConfigRetry:
         assert 2 in mapper.unreached
         assert 2 not in found
         assert sorted(found) == [0, 1]
+
+
+class TestMalformedControl:
+    """A bit-flipped header can dress a data packet as a mapper message."""
+
+    @pytest.mark.parametrize("ptype,control", [
+        (PacketType.MAPPER_REPLY, None),
+        (PacketType.MAPPER_DONE, None),
+        (PacketType.MAPPER_PORTINFO, ["ports"]),
+        (PacketType.MAPPER_CONFIG, None),
+        (PacketType.MAPPER_CONFIG, {"routes": None}),
+    ])
+    def test_is_a_counted_drop(self, ptype, control):
+        cluster = build_cluster(2, boot=False, seed=5)
+        agent = cluster[1].mcp.mapper_agent
+        table = dict(cluster[1].mcp.routing_table)
+        packet = Packet(ptype=ptype, src_node=0, dest_node=1,
+                        control=control)
+        assert agent.handle(packet) is True      # consumed, not re-dispatched
+        assert agent.malformed_drops == 1
+        assert agent.configs_installed == 0
+        assert cluster[1].mcp.routing_table == table
+        assert not agent.replies.items and not agent.dones.items \
+            and not agent.portinfos.items
+
+    def test_table1_campaign_that_used_to_abort_completes(self):
+        # Campaign seed 15: run 149's flipped send_chunk emits a packet
+        # that reaches the peer's agent as MAPPER_CONFIG with no control,
+        # and the one raised run used to fail the whole campaign.
+        from repro.exp.registry import get_experiment
+        from repro.exp.runner import run_experiment
+
+        spec = get_experiment("table1").build_spec({"runs": 200, "seed": 15})
+        result = run_experiment(spec, workers=1)
+        assert len(result.outcomes) == 200
+        assert all(outcome is not None for outcome in result.outcomes)
 
 
 class TestRemapAfterSeveredLink:

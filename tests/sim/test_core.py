@@ -1,11 +1,15 @@
 """Unit tests for the simulation kernel."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import (
     AllOf,
     AnyOf,
     Interrupt,
+    Process,
     SimulationError,
     Simulator,
 )
@@ -209,6 +213,41 @@ def test_interrupt_finished_process_is_noop():
 
     sim.spawn(late_killer())
     sim.run()  # should not raise
+
+
+@pytest.mark.parametrize("ending", ["returns", "caught-kill"])
+def test_finished_process_is_freed_without_the_cycle_collector(ending):
+    # A process holds its own bound ``_resume``; unless that cycle is
+    # broken at generator exit, finished processes pile up until a gen-0
+    # collection happens to run.
+    class Probe(Process):
+        __slots__ = ("__weakref__",)
+
+    sim = Simulator()
+
+    def body():
+        try:
+            yield sim.timeout(10.0)
+        except Interrupt:
+            pass
+
+    gc.disable()
+    try:
+        proc = Probe(sim, body())
+        if ending == "caught-kill":
+            sim.spawn(_interrupt_at(sim, proc, 5.0))
+        ref = weakref.ref(proc)
+        del proc
+        sim.run()
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def _interrupt_at(sim, proc, when):
+    yield sim.timeout(when)
+    proc.interrupt()
+    del proc
 
 
 def test_uncaught_interrupt_terminates_quietly():
