@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional
 
+from ..errors import BusError
 from ..payload import Payload
 from ..sim import Simulator, Tracer
 from .host import Host
@@ -90,7 +91,7 @@ class DmaEngine:
             return failure
         try:
             region = self.host.region_at(host_addr, max(length, 1))
-        except Exception:
+        except BusError:
             self.errors += 1
             self.tracer.emit(self.sim.now, self.name, "dma_master_abort",
                              addr=host_addr, length=length, dir="read")
@@ -117,7 +118,7 @@ class DmaEngine:
             return failure
         try:
             region = self.host.region_at(host_addr, max(payload.size, 1))
-        except Exception:
+        except BusError:
             self.errors += 1
             self.tracer.emit(self.sim.now, self.name, "dma_master_abort",
                              addr=host_addr, length=payload.size, dir="write")

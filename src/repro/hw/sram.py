@@ -7,17 +7,23 @@ byte-addressable array with 32-bit big-endian word access — the LANai is
 a big-endian processor — plus bounds checking that raises
 :class:`~repro.errors.BusError`, which is how a corrupted firmware address
 turns into a processor hang.
+
+Storage is sparse: the backing ``bytearray`` grows to the highest byte
+ever written (:attr:`Sram.resident`) and every byte above it reads as
+zero, so a card costs what its firmware wrote, not 2 MB.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import hashlib
+from typing import Iterable, Optional
 
 from ..errors import BusError
 
 __all__ = ["Sram", "WORD_SIZE"]
 
 WORD_SIZE = 4
+_ZEROS = bytes(64 * 1024)    # digest feed for the unwritten tail
 
 
 class Sram:
@@ -27,7 +33,9 @@ class Sram:
         if size <= 0 or size % WORD_SIZE:
             raise ValueError("SRAM size must be a positive multiple of 4")
         self.size = size
-        self._mem = bytearray(size)
+        # Bytes [0, len) are backed; [len, size) were never written and
+        # read as zero.
+        self._mem = bytearray()
         # Decoded-instruction cache, owned by the memory so that *every*
         # write path invalidates the stale decode — a bit flip injected
         # through any of these APIs must corrupt all subsequent
@@ -48,9 +56,20 @@ class Sram:
         self.block_index: dict = {}
         self.invalidations = 0   # decode/block cache entries dropped
 
+    @property
+    def resident(self) -> int:
+        """Bytes currently backed: one past the highest byte ever written."""
+        return len(self._mem)
+
     def _check(self, address: int, length: int) -> None:
         if address < 0 or length < 0 or address + length > self.size:
             raise BusError(address, length, what="SRAM")
+
+    def _grow(self, address: int, length: int) -> None:
+        """Back (zero-filled) the bytes a non-empty write is about to touch."""
+        short = address + length - len(self._mem)
+        if length and short > 0:
+            self._mem.extend(bytes(short))
 
     def _invalidate(self, address: int, length: int) -> None:
         """Drop cached decodes and fused blocks overlapping the write."""
@@ -81,11 +100,12 @@ class Sram:
 
     def read_bytes(self, address: int, length: int) -> bytes:
         self._check(address, length)
-        return bytes(self._mem[address:address + length])
+        return bytes(self._mem[address:address + length]).ljust(length, b"\0")
 
     def write_bytes(self, address: int, data: bytes) -> None:
         self._check(address, len(data))
         self._invalidate(address, len(data))
+        self._grow(address, len(data))
         self._mem[address:address + len(data)] = data
 
     # -- word access -----------------------------------------------------------
@@ -93,11 +113,15 @@ class Sram:
     def read_word(self, address: int) -> int:
         """Read an unsigned 32-bit big-endian word."""
         self._check(address, WORD_SIZE)
-        return int.from_bytes(self._mem[address:address + WORD_SIZE], "big")
+        word = self._mem[address:address + WORD_SIZE]
+        if len(word) < WORD_SIZE:       # at or straddling the extent
+            word = word.ljust(WORD_SIZE, b"\0")
+        return int.from_bytes(word, "big")
 
     def write_word(self, address: int, value: int) -> None:
         self._check(address, WORD_SIZE)
         self._invalidate(address, WORD_SIZE)
+        self._grow(address, WORD_SIZE)
         self._mem[address:address + WORD_SIZE] = (
             value & 0xFFFFFFFF).to_bytes(WORD_SIZE, "big")
 
@@ -112,7 +136,7 @@ class Sram:
 
     def clear(self) -> None:
         """Zero the whole SRAM (the FTD does this before reloading the MCP)."""
-        self._mem = bytearray(self.size)
+        self._mem.clear()
         self.decode_cache.clear()
         self.block_cache.clear()
         self.block_index.clear()
@@ -128,10 +152,11 @@ class Sram:
         byte_addr, bit = divmod(bit_offset, 8)
         self._check(byte_addr, 1)
         self._invalidate(byte_addr, 1)
+        self._grow(byte_addr, 1)
         self._mem[byte_addr] ^= 1 << (7 - bit)  # bit 0 = MSB, matching BE words
         return byte_addr
 
-    def snapshot(self, address: int = 0, length: int = None) -> bytes:
+    def snapshot(self, address: int = 0, length: Optional[int] = None) -> bytes:
         """Copy of a region (defaults to the whole SRAM)."""
         if length is None:
             length = self.size - address
@@ -140,15 +165,18 @@ class Sram:
     def ckpt_state(self) -> dict:
         """Snapshot contract: the bytes (as a digest) and write accounting.
 
-        The decode/block caches are deliberately absent: they are pure
+        The digest is of the full logical image (resident bytes, then
+        zeros up to ``size``), so it does not depend on where the extent
+        is.  The decode/block caches are deliberately absent: they are pure
         functions of the memory content, dropped by a checkpoint and
         rebuilt lazily as the restored interpreter re-executes — caching
         state must never make two captures of identical memory unequal.
         """
-        import hashlib
-
+        digest = hashlib.sha256(self._mem)
+        for tail in range(self.size - len(self._mem), 0, -len(_ZEROS)):
+            digest.update(_ZEROS[:tail])
         return {
             "size": self.size,
-            "mem_sha256": hashlib.sha256(bytes(self._mem)).hexdigest(),
+            "mem_sha256": digest.hexdigest(),
             "invalidations": self.invalidations,
         }

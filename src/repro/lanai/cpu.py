@@ -247,6 +247,23 @@ class LanaiCpu:
                         continue
                 entry_ = cache_get(pc)
                 if entry_ is None:
+                    if pc >= sram.resident:
+                        # Nop sled: SRAM above the written extent reads as
+                        # zero and word 0 is a 1-cycle nop, so instead of
+                        # decoding it retire the run to the next flush, fuel
+                        # exhaustion or SRAM end arithmetically (the loop
+                        # head then hangs it exactly as it would have),
+                        # fusing and caching nothing.
+                        n = min(_TIME_CHUNK - executed % _TIME_CHUNK,
+                                fuel - executed, (sram_size - pc) >> 2)
+                        self.pc = pc + 4 * n
+                        executed += n
+                        cycles += n
+                        if executed % _TIME_CHUNK == 0:
+                            yield timeout(cycles * CYCLE_US)
+                            self.busy_time += cycles * CYCLE_US
+                            cycles = 0
+                        continue
                     word = sram.read_word(pc)
                     try:
                         entry_ = isa.compile_instruction(isa.decode(word, pc))

@@ -203,6 +203,35 @@ class TestDmaEngine:
         assert results[0].error == "master-abort"
         assert dma.errors == 1
 
+    def test_unmapped_write_master_aborts(self):
+        sim, host, dma, _ = self._engine()
+        results = []
+
+        def run():
+            result = yield from dma.write_to_host(
+                USER_DMA_BASE + 0x100_0000, Payload.from_bytes(b"abcd"))
+            results.append(result)
+
+        sim.spawn(run())
+        sim.run()
+        assert (results[0].ok, results[0].error) == (False, "master-abort")
+        assert dma.errors == 1 and dma.transactions == 0
+
+    def test_only_a_bus_error_is_a_master_abort(self, monkeypatch):
+        """A bug inside ``region_at`` must surface, not be tallied as one."""
+        _sim, host, dma, _ = self._engine()
+        region = host.alloc_dma(64, owner_port=0)
+
+        def broken(addr, length=1):
+            raise RuntimeError("programming error in region_at")
+
+        monkeypatch.setattr(host, "region_at", broken)
+        with pytest.raises(RuntimeError):
+            next(dma.read_from_host(region.addr, 16))
+        with pytest.raises(RuntimeError):
+            next(dma.write_to_host(region.addr, Payload.from_bytes(b"abcd")))
+        assert dma.errors == 0
+
     def test_disabled_engine_refuses(self):
         sim, host, dma, _ = self._engine()
         region = host.alloc_dma(64, owner_port=0)
