@@ -2,7 +2,7 @@
 
 The ROADMAP's checkpoint/restart item, following Transparent
 Checkpoint-Restart over InfiniBand (arXiv:1312.3938), calls for snapshot
--> disk -> resume/branch of a whole simulated cluster.  CPython cannot
+-> disk -> resume of a whole simulated cluster.  CPython cannot
 pickle live generator frames, so a snapshot here is a **logical
 checkpoint**: the boot recipe (experiment + spec), the pause point, and
 a canonical capture of every stateful layer's declared snapshot state,

@@ -2,10 +2,10 @@
 
 Every stateful layer declares its snapshot contract as a ``ckpt_state()``
 method returning a JSON-able dict of exactly the state that must survive
-a checkpoint: event wheels with their heap order and tie-break counters,
+a checkpoint: the event wheel with its heap order and tie-break counter,
 SRAM bytes (as a digest — decode/block caches are dropped and rebuilt
 lazily on resume), MCP/FTGM register and protocol state, links'
-in-flight delivery queues, shard channels, RNG streams, busy trackers
+in-flight delivery queues, RNG streams, busy trackers
 and netfaults plane schedules.  :func:`capture_state` walks the cluster
 through those contracts and :func:`state_hash` seals the result.
 
@@ -45,8 +45,8 @@ def count_position(counter) -> int:
     """Next value an ``itertools.count`` will yield, without consuming it.
 
     ``repr(count(n))`` is ``"count(n)"`` on every CPython we support;
-    the wheels share their tie-break ``seq`` and model-id counters this
-    way, and a checkpoint must record their positions exactly.
+    a checkpoint must record the wheel's tie-break ``seq`` and model-id
+    counter positions exactly.
     """
     match = _COUNT_RE.search(repr(counter))
     if not match:

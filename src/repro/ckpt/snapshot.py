@@ -1,11 +1,11 @@
 """Snapshot files: versioned logical checkpoints of a paused run.
 
-A snapshot file (format v1) is canonical JSON holding the boot recipe
+A snapshot file (format v2) is canonical JSON holding the boot recipe
 (experiment name + full spec), the run index within the expanded spec,
 the pause instant, and the complete per-layer state capture sealed with
 its ``state_hash``::
 
-    {"snapshot": 1, "experiment": ..., "spec": {...}, "run_index": N,
+    {"snapshot": 2, "experiment": ..., "spec": {...}, "run_index": N,
      "at_us": t, "capture": {"state": ..., "state_hash": ...}}
 
 Nothing in the file depends on wall-clock time or the writing process,
@@ -37,7 +37,7 @@ __all__ = [
     "restore_and_step",
 ]
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 class SnapshotMismatch(ValueError):
@@ -67,6 +67,17 @@ class Snapshot:
             "at_us": self.at_us,
             "capture": self.capture,
         }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any], source: str) -> "Snapshot":
+        """Inverse of :meth:`to_dict`; refuses any other format version."""
+        if data.get("snapshot") != SNAPSHOT_VERSION:
+            raise SnapshotMismatch(
+                "%s has snapshot version %r, want %d"
+                % (source, data.get("snapshot"), SNAPSHOT_VERSION))
+        return cls(experiment=data["experiment"], spec=data["spec"],
+                   run_index=data["run_index"], at_us=data["at_us"],
+                   capture=data["capture"])
 
 
 def _pause_run(spec, run_index: int, at_us: float) -> PausedRun:
@@ -104,14 +115,7 @@ def write_snapshot(snapshot: Snapshot, path: str) -> None:
 
 def load_snapshot(path: str) -> Snapshot:
     with open(path) as fh:
-        data = json.load(fh)
-    if data.get("snapshot") != SNAPSHOT_VERSION:
-        raise SnapshotMismatch(
-            "%s has snapshot version %r, want %d"
-            % (path, data.get("snapshot"), SNAPSHOT_VERSION))
-    return Snapshot(experiment=data["experiment"], spec=data["spec"],
-                    run_index=data["run_index"], at_us=data["at_us"],
-                    capture=data["capture"])
+        return Snapshot.from_dict(json.load(fh), path)
 
 
 def _spec_of(snapshot: Snapshot):

@@ -17,7 +17,6 @@ engine verbs drive anything registered::
     python -m repro run slo-chaos --scale small --sample-every 5000 \\
         --flight-recorder flights/ --out slo.json
     python -m repro report slo.json
-    python -m repro run table1 --scale small --branch-at injection
     python -m repro snapshot netfaults --runs-per-scenario 1 \\
         --at 4000 --run 2 --out nf.snapshot.json
     python -m repro run netfaults --runs-per-scenario 1 \\
@@ -75,9 +74,6 @@ def _execute(experiment, spec, *, workers: int,
              trace: Optional[str] = None,
              sample_every: Optional[float] = None,
              flight_dir: Optional[str] = None,
-             shards: Optional[int] = None,
-             shard_schedule: Optional[str] = None,
-             branch: bool = False,
              from_snapshot: Optional[str] = None):
     from .ckpt.snapshot import SnapshotMismatch
     from .exp.runner import JournalMismatch, run_experiment
@@ -89,8 +85,7 @@ def _execute(experiment, spec, *, workers: int,
             journal_path=journal, forkserver=forkserver,
             telemetry=telemetry, trace=trace is not None,
             sample_every=sample_every, flight_dir=flight_dir,
-            shards=shards, shard_schedule=shard_schedule,
-            branch=branch, from_snapshot=from_snapshot)
+            from_snapshot=from_snapshot)
     except (JournalMismatch, SnapshotMismatch) as exc:
         raise SystemExit("error: %s" % exc)
     if out:
@@ -126,9 +121,6 @@ def _run_registered(experiment, args) -> str:
                       trace=trace,
                       sample_every=getattr(args, "sample_every", None),
                       flight_dir=getattr(args, "flight_recorder", None),
-                      shards=getattr(args, "shards", None),
-                      shard_schedule=getattr(args, "shard_schedule", None),
-                      branch=getattr(args, "branch_at", None) == "injection",
                       from_snapshot=getattr(args, "from_snapshot", None))
     return result.rendered
 
@@ -143,9 +135,9 @@ def _add_common_options(parser) -> None:
                              "same spec resumes from it")
     parser.add_argument("--no-forkserver", action="store_true",
                         dest="no_forkserver",
-                        help="force the spawn-per-run path instead of "
-                             "the fork-server boot snapshots "
-                             "(REPRO_FORKSERVER=0 does the same)")
+                        help="boot every run's cluster afresh instead "
+                             "of forking runs off one shared boot "
+                             "(in-process when --workers is 1)")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="capture per-run event traces and write a "
                              "Chrome-trace JSON here (load in Perfetto "
@@ -162,26 +154,6 @@ def _add_common_options(parser) -> None:
                              "(SLO breach, deadlock, exception) dump "
                              "their recent-event ring plus an anomaly-"
                              "instant snapshot into DIR")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="shard each simulated cluster across N "
-                             "per-node event wheels (execution mode "
-                             "only: results are byte-identical at "
-                             "equal seeds; REPRO_SHARDS does the same)")
-    parser.add_argument("--shard-schedule", default=None,
-                        dest="shard_schedule",
-                        choices=("merged", "windowed", "threads"),
-                        help="how sharded wheels are driven: merged "
-                             "(deterministic single-process, default), "
-                             "windowed (conservative lookahead rounds), "
-                             "or threads (windowed on a thread pool)")
-    parser.add_argument("--branch-at", default=None, dest="branch_at",
-                        choices=("injection", "stage"),
-                        help="fan runs out from one shared live prefix: "
-                             "'injection' boots each branch group once "
-                             "and forks every run at its fault gate "
-                             "(byte-identical results; experiments "
-                             "without a brancher fall back), 'stage' "
-                             "keeps the fork-server boot sharing")
     parser.add_argument("--from-snapshot", default=None,
                         dest="from_snapshot", metavar="PATH",
                         help="restore this snapshot's pinned run from "
@@ -253,8 +225,6 @@ def _cmd_run(argv: List[str]) -> int:
                       trace=ns.trace,
                       sample_every=ns.sample_every,
                       flight_dir=ns.flight_recorder,
-                      shards=ns.shards, shard_schedule=ns.shard_schedule,
-                      branch=ns.branch_at == "injection",
                       from_snapshot=ns.from_snapshot)
     print(result.rendered)
     return 0
@@ -356,8 +326,6 @@ def _cmd_metrics(argv: List[str]) -> int:
                       telemetry=True, trace=ns.trace,
                       sample_every=ns.sample_every,
                       flight_dir=ns.flight_recorder,
-                      shards=ns.shards, shard_schedule=ns.shard_schedule,
-                      branch=ns.branch_at == "injection",
                       from_snapshot=ns.from_snapshot)
     _print_metrics(result.telemetry,
                    "%s (%d runs)" % (experiment.name, spec.runs),
@@ -399,9 +367,6 @@ def _cmd_report(argv: List[str]) -> int:
                           telemetry=True, trace=ns.trace,
                           sample_every=ns.sample_every,
                           flight_dir=ns.flight_recorder,
-                          shards=ns.shards,
-                          shard_schedule=ns.shard_schedule,
-                          branch=ns.branch_at == "injection",
                           from_snapshot=ns.from_snapshot)
         saved_doc = result.to_doc()
     report = campaign_report_doc(saved_doc)

@@ -5,7 +5,7 @@ hand-built CLI subcommand plus its own ad-hoc fan-out loop: the SWIFI
 campaigns (Table 1, §5.2 effectiveness, fault surface), the netfault
 sweep, the GM-vs-FTGM metric and figure benchmarks (Tables 2/3,
 Figs. 4/5/7/8/9) and the perf microbenchmarks.  The shared machinery —
-spec expansion, process-pool fan-out, journaling/resume, manifests —
+spec expansion, multi-process fan-out, journaling/resume, manifests —
 lives in :mod:`repro.exp.runner`; this module only declares *what* each
 experiment runs and how its outcomes aggregate and render.
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import Any, Dict, List
 
-from ..ckpt.branch import Brancher
 from ..faults.campaign import (
     CampaignResult,
     aggregate_effectiveness,
@@ -27,8 +26,6 @@ from ..faults.injector import (
     InjectionConfig,
     boot_injection,
     injection_family,
-    injection_group,
-    plan_injection_runs,
     resume_injection,
     run_injection,
 )
@@ -53,8 +50,6 @@ from ..netfaults.campaign import (
     NetFaultOutcome,
     boot_netfault,
     netfault_family,
-    netfault_group,
-    plan_netfault_runs,
     resume_netfault,
     run_netfault_injection,
 )
@@ -64,9 +59,7 @@ from ..netfaults.clos import (
     ClosFaultConfig,
     boot_closfault,
     closfault_family,
-    closfault_group,
     cross_fabric_pairs,
-    plan_closfault_runs,
     resume_closfault,
     run_closfault_injection,
 )
@@ -99,12 +92,10 @@ def _identity(rendered: str) -> str:
     return rendered
 
 
-# -- checkpoint / branch hooks -------------------------------------------------
+# -- checkpoint hooks ----------------------------------------------------------
 #
 # ``pause`` runs a booted run to a simulated instant and hands back a
-# PausedRun (the hook behind ``repro snapshot``); a ``Brancher`` drives
-# one shared prefix per group and forks a child per run at its gate (the
-# hook behind ``repro run --branch-at injection``).  Module-level defs,
+# PausedRun (the hook behind ``repro snapshot``).  Module-level defs,
 # like every other registered callable.
 
 
@@ -112,39 +103,12 @@ def _injection_pause(state, config, at):
     return resume_injection(state, config, pause_at=at)
 
 
-def _injection_parent(state, config, controller):
-    return resume_injection(state, config, branch=controller)
-
-
-_INJECTION_BRANCHER = Brancher(group=injection_group,
-                               plan=plan_injection_runs,
-                               parent=_injection_parent)
-
-
 def _netfault_pause(state, config, at):
     return resume_netfault(state, config, pause_at=at)
 
 
-def _netfault_parent(state, config, controller):
-    return resume_netfault(state, config, branch=controller)
-
-
-_NETFAULT_BRANCHER = Brancher(group=netfault_group,
-                              plan=plan_netfault_runs,
-                              parent=_netfault_parent)
-
-
 def _closfault_pause(state, config, at):
     return resume_closfault(state, config, pause_at=at)
-
-
-def _closfault_parent(state, config, controller):
-    return resume_closfault(state, config, branch=controller)
-
-
-_CLOSFAULT_BRANCHER = Brancher(group=closfault_group,
-                               plan=plan_closfault_runs,
-                               parent=_closfault_parent)
 
 
 def _slo_chaos_pause(state, config, at):
@@ -222,7 +186,6 @@ register(Experiment(
     resume=resume_injection,
     boot_family=injection_family,
     pause=_injection_pause,
-    brancher=_INJECTION_BRANCHER,
 ))
 
 
@@ -254,7 +217,6 @@ register(Experiment(
     resume=resume_injection,
     boot_family=injection_family,
     pause=_injection_pause,
-    brancher=_INJECTION_BRANCHER,
 ))
 
 
@@ -297,7 +259,6 @@ register(Experiment(
     resume=resume_injection,
     boot_family=injection_family,
     pause=_injection_pause,
-    brancher=_INJECTION_BRANCHER,
 ))
 
 
@@ -372,7 +333,6 @@ register(Experiment(
     resume=resume_netfault,
     boot_family=netfault_family,
     pause=_netfault_pause,
-    brancher=_NETFAULT_BRANCHER,
 ))
 
 
@@ -478,7 +438,6 @@ register(Experiment(
     resume=resume_closfault,
     boot_family=closfault_family,
     pause=_closfault_pause,
-    brancher=_CLOSFAULT_BRANCHER,
 ))
 
 
@@ -955,7 +914,7 @@ register(Experiment(
     options=(Option("campaign_runs", "--campaign-runs", int, 200,
                     "campaign benchmark size"),
              Option("campaign_workers", "--campaign-workers", int, 1,
-                    "campaign benchmark pool size"),
+                    "campaign benchmark worker count"),
              Option("quick", "--quick", bool, False,
                     "10x smaller sizes (CI smoke)")),
 ))

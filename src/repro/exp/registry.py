@@ -82,12 +82,6 @@ class Experiment:
     # booted run up to simulated time ``at`` and returns a
     # ``repro.ckpt.PausedRun`` — the hook behind ``repro snapshot``.
     pause: Optional[Callable[[Any, Any, float], Any]] = None
-    # Branch-at-injection support (optional): a ``Brancher`` whose
-    # ``group(config)`` keys configs sharing one common prefix,
-    # ``plan(state, configs)`` resolves each run's fork gate, and
-    # ``parent(state, config, controller)`` drives the shared prefix,
-    # forking one child per run at its gate (see repro.ckpt.branch).
-    brancher: Optional[Any] = None
 
 
 _REGISTRY: Dict[str, Experiment] = {}

@@ -5,12 +5,13 @@ privately: every config runs hermetically (its own ``Simulator``, its
 own seed), outcomes come back ordered by config index, and progress is
 reported as **monotonic completed-count ticks** — ``1, 2, ..., N``
 exactly once each — under ``workers=1`` and ``workers>1`` alike.
-Experiments that declare a :class:`ForkBoot` (a seed-independent shared
-boot prefix plus a per-run resume) additionally run on a **fork-server**
-where available: the prefix boots once per scenario family in a server
-process and each run is an ``os.fork()`` copy-on-write child, which
-amortizes identical cluster bring-up across hundreds of runs while
-staying byte-identical to spawn-per-run.
+There is one multi-process mechanism, the **fork-server**: a server
+process boots once per scenario family and each run is an ``os.fork()``
+copy-on-write child.  Experiments that declare a :class:`ForkBoot` (a
+seed-independent shared boot prefix plus a per-run resume) amortize
+identical cluster bring-up across hundreds of runs that way; a plain
+runner rides the same server through a null boot.  Either is
+byte-identical to running every config in-process.
 
 :func:`run_experiment` drives a whole declarative experiment: expand the
 spec through its registry entry, fan the configs out, journal each
@@ -35,26 +36,24 @@ from __future__ import annotations
 
 import gc
 import json
-import multiprocessing
 import os
 import pickle
 import selectors
+import signal
 import struct
+import sys
 import time
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from ..sim.shard import SCHEDULES
 from .results import ExperimentResult, RunManifest, encode_outcome
 from .spec import ExperimentSpec
 
 __all__ = [
     "derive_run_seed",
     "run_many",
-    "run_branched",
     "run_experiment",
-    "branch_supported",
     "ForkBoot",
     "forkserver_available",
     "Journal",
@@ -135,40 +134,21 @@ class Journal:
             fh.flush()
 
 
-class _Ticker:
-    """Serializes progress into strictly-increasing completed counts."""
-
-    def __init__(self, progress: Optional[Callable[[int], None]],
-                 already_done: int = 0):
-        self.done = already_done
-        self.progress = progress
-
-    def tick(self) -> None:
-        self.done += 1
-        if self.progress is not None:
-            self.progress(self.done)
-
-
-def _invoke(runner: Callable[[Any], Any], item):
-    index, config = item
-    return index, runner(config)
-
-
 # -- telemetry wrapping --------------------------------------------------------
 #
 # When the CLI asks for metrics (`repro metrics`) or per-run traces
 # (`--trace`), run_experiment swaps the registered run_one/resume for
-# these wrappers via functools.partial — run_many itself is untouched,
-# and with telemetry off no wrapper exists at all, so the hot path is
-# byte-for-byte the pre-telemetry code.
+# :func:`_telemetry_scope` via functools.partial — run_many itself is
+# untouched, and with telemetry off no wrapper exists at all, so the hot
+# path is byte-for-byte the pre-telemetry code.
 
 
 class _TelemetryEnvelope:
     """A run's outcome plus its telemetry sidecar.
 
-    Picklable (it crosses the pool and fork-server pipes) and
-    unambiguous: no experiment outcome is an instance of this class, so
-    unwrapping is a plain isinstance check.  Journal-resumed outcomes
+    Picklable (it crosses the fork-server pipes) and unambiguous: no
+    experiment outcome is an instance of this class, so unwrapping is a
+    plain isinstance check.  Journal-resumed outcomes
     are *not* enveloped — their runs were computed in an earlier
     process, so their telemetry is absent by construction.
     """
@@ -176,7 +156,7 @@ class _TelemetryEnvelope:
     __slots__ = ("outcome", "snapshot", "trace", "timeseries", "flight")
 
     def __init__(self, outcome: Any, snapshot: Any, trace: Any,
-                 timeseries: Any = None, flight: Any = None):
+                 timeseries: Any, flight: Any):
         self.outcome = outcome
         self.snapshot = snapshot
         self.trace = trace
@@ -194,9 +174,9 @@ def _flight_payload(flight_dir: Optional[str],
                     outcome: Any) -> Optional[Dict[str, Any]]:
     """Classify the finished run; a triggered ring report or None.
 
-    Runs in the run's own process (serial, pool worker or forked
-    child), where the ring and the outcome both live; the parent takes
-    the anomaly-instant snapshot later, from the report's ``at_us``.
+    Runs in the run's own process (in-process or forked child), where
+    the ring and the outcome both live; the parent takes the
+    anomaly-instant snapshot later, from the report's ``at_us``.
     """
     if flight_dir is None:
         return None
@@ -229,41 +209,24 @@ def _flight_exception(flight_dir: Optional[str], config: Any,
         pass
 
 
-def _telemetry_invoke(run_one: Callable[[Any], Any], metrics: bool,
-                      tracing: bool, sample_every: Optional[float],
-                      flight_dir: Optional[str],
-                      config: Any) -> "_TelemetryEnvelope":
-    """run_one, bracketed by a per-run telemetry scope."""
+def _telemetry_scope(fn: Callable[..., Any], metrics: bool, tracing: bool,
+                     sample_every: Optional[float],
+                     flight_dir: Optional[str],
+                     *args: Any) -> "_TelemetryEnvelope":
+    """``fn(*args)`` bracketed by a per-run telemetry scope.
+
+    ``args`` is ``(config,)`` for a ``run_one`` and ``(state, config)``
+    for a fork-server ``resume``.
+    """
     from ..obs import runtime as obs_runtime
 
     obs_runtime.configure(metrics=metrics, tracing=tracing,
                           sample_every=sample_every, flight_dir=flight_dir)
     obs_runtime.begin_run()
     try:
-        outcome = run_one(config)
+        outcome = fn(*args)
     except BaseException as exc:
-        _flight_exception(flight_dir, config, exc)
-        raise
-    return _TelemetryEnvelope(outcome, obs_runtime.collect(),
-                              obs_runtime.take_trace(),
-                              obs_runtime.take_timeseries(),
-                              _flight_payload(flight_dir, outcome))
-
-
-def _telemetry_resume(resume: Callable[[Any, Any], Any], metrics: bool,
-                      tracing: bool, sample_every: Optional[float],
-                      flight_dir: Optional[str], state: Any,
-                      config: Any) -> "_TelemetryEnvelope":
-    """Fork-server counterpart of :func:`_telemetry_invoke`."""
-    from ..obs import runtime as obs_runtime
-
-    obs_runtime.configure(metrics=metrics, tracing=tracing,
-                          sample_every=sample_every, flight_dir=flight_dir)
-    obs_runtime.begin_run()
-    try:
-        outcome = resume(state, config)
-    except BaseException as exc:
-        _flight_exception(flight_dir, config, exc)
+        _flight_exception(flight_dir, args[-1], exc)
         raise
     return _TelemetryEnvelope(outcome, obs_runtime.collect(),
                               obs_runtime.take_trace(),
@@ -283,7 +246,7 @@ class ForkBoot:
     seed-dependent happens.  A fork-server boots that prefix **once** per
     family and ``os.fork()``\\ s a copy-on-write child per run; the child
     seeds its per-run RNG from its own config and finishes the run.  For
-    this to be byte-identical to spawn-per-run, ``boot`` must depend only
+    this to be byte-identical to a boot per run, ``boot`` must depend only
     on the family key — never on the per-run seed — and must not consume
     any per-run randomness or simulation ids.
 
@@ -298,18 +261,19 @@ class ForkBoot:
 
 
 def forkserver_available() -> bool:
-    """True when the fork-server executor can and may be used here.
-
-    ``REPRO_FORKSERVER=0`` disables it (the ``--no-forkserver`` escape
-    hatch); ``REPRO_MP_START_METHOD=spawn`` forces the portable
-    spawn-per-run path (the CI fallback leg); otherwise any POSIX with
-    ``os.fork`` qualifies.
-    """
-    if os.environ.get("REPRO_FORKSERVER", "1") == "0":
-        return False
-    if os.environ.get("REPRO_MP_START_METHOD", "fork") != "fork":
-        return False
+    """True where the fork-server can run: any platform with ``os.fork``."""
     return hasattr(os, "fork")
+
+
+def _null_boot(runner: Callable[[Any], Any]) -> ForkBoot:
+    """The fork-server contract for a runner with no shared prefix.
+
+    ``run_one ≡ resume(boot(c), c)`` holds trivially with an empty boot,
+    so a plain runner fans out over the same fork-server as a split one.
+    """
+    return ForkBoot(family=lambda config: 0,
+                    boot=lambda config: None,
+                    resume=lambda _state, config: runner(config))
 
 
 def _write_frame(fd: int, obj: Any) -> None:
@@ -329,13 +293,30 @@ def _read_exact(fd: int, n: int) -> bytes:
 
 
 def _read_frame(fd: int) -> Optional[Any]:
-    """Next frame from ``fd``, or None on a clean EOF."""
-    try:
-        header = _read_exact(fd, 4)
-    except EOFError:
+    """Next frame from ``fd``, or None on a clean EOF.
+
+    EOF is clean only between frames; a pipe that closes after 1-3
+    header bytes, or inside the payload, raises :class:`EOFError`.
+    """
+    header = os.read(fd, 4)
+    if not header:
         return None
+    if len(header) < 4:
+        header += _read_exact(fd, 4 - len(header))
     (length,) = struct.unpack("!I", header)
     return pickle.loads(_read_exact(fd, length))
+
+
+def _is_whole_frame(data: bytes) -> bool:
+    return len(data) >= 4 \
+        and len(data) == 4 + struct.unpack("!I", data[:4])[0]
+
+
+def _describe_exit(status: int) -> str:
+    """A ``waitpid`` status as ``signal N`` or ``exit status N``."""
+    if os.WIFSIGNALED(status):
+        return "signal %d" % os.WTERMSIG(status)
+    return "exit status %d" % os.WEXITSTATUS(status)
 
 
 def _child_run(fork_boot: ForkBoot, state: Any, index: int, config: Any,
@@ -363,17 +344,17 @@ def _serve_family(items: List, fork_boot: ForkBoot, workers: int,
 
     Children write to per-run pipes; the server relays completed frames
     to the parent in completion order.  Up to ``workers`` children run
-    concurrently.
+    concurrently.  A child that exits without a whole frame (killed,
+    crashed in the interpreter) is reported under its run index with its
+    ``waitpid`` status, so the campaign error says which run was lost.
     """
     state = fork_boot.boot(items[0][1])
     sel = selectors.DefaultSelector()
     buffers: Dict[int, List[bytes]] = {}
-    pids: Dict[int, int] = {}
-    live = 0
+    runs: Dict[int, tuple] = {}         # read fd -> (pid, run index)
     queue = list(items)
 
     def launch(index: int, config: Any) -> None:
-        nonlocal live
         r_fd, w_fd = os.pipe()
         pid = os.fork()
         if pid == 0:
@@ -383,34 +364,39 @@ def _serve_family(items: List, fork_boot: ForkBoot, workers: int,
             _child_run(fork_boot, state, index, config, w_fd)
         os.close(w_fd)
         buffers[r_fd] = []
-        pids[r_fd] = pid
+        runs[r_fd] = (pid, index)
         sel.register(r_fd, selectors.EVENT_READ)
-        live += 1
 
     def reap(r_fd: int) -> None:
-        nonlocal live
         sel.unregister(r_fd)
         os.close(r_fd)
-        os.waitpid(pids.pop(r_fd), 0)
-        live -= 1
+        pid, index = runs.pop(r_fd)
+        _, status = os.waitpid(pid, 0)
         data = b"".join(buffers.pop(r_fd))
-        if data:
+        if _is_whole_frame(data):
             os.write(result_fd, data)
-        else:       # child died before writing its frame
-            _write_frame(result_fd, (-1, "err", "fork-server child died "
-                                     "without reporting an outcome"))
+        else:
+            _write_frame(result_fd, (
+                index, "err", "run %d died (%s) without reporting an "
+                "outcome" % (index, _describe_exit(status))))
 
-    while queue or live:
-        while queue and live < max(1, workers):
-            index, config = queue.pop(0)
-            launch(index, config)
-        for key, _events in sel.select():
-            chunk = os.read(key.fd, 1 << 16)
-            if chunk:
-                buffers[key.fd].append(chunk)
-            else:
-                reap(key.fd)
-    sel.close()
+    try:
+        while queue or runs:
+            while queue and len(runs) < max(1, workers):
+                launch(*queue.pop(0))
+            for key, _events in sel.select():
+                chunk = os.read(key.fd, 1 << 16)
+                if chunk:
+                    buffers[key.fd].append(chunk)
+                else:
+                    reap(key.fd)
+    finally:
+        # Only non-empty when the relay itself failed (the parent gave
+        # up on an error frame and closed the pipe): leave no orphans.
+        for pid, _index in runs.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        sel.close()
 
 
 def _run_forkserver(pending: List, fork_boot: ForkBoot, workers: int,
@@ -447,152 +433,11 @@ def _run_forkserver(pending: List, fork_boot: ForkBoot, workers: int,
                 got += 1
         finally:
             os.close(r_fd)
-            os.waitpid(server_pid, 0)
+            _, server_status = os.waitpid(server_pid, 0)
         if got != len(items):
             raise RuntimeError(
-                "fork-server family returned %d of %d outcomes"
-                % (got, len(items)))
-
-
-# -- branch-at-injection execution ---------------------------------------------
-
-
-def branch_supported(experiment) -> bool:
-    """True when ``experiment`` can run branch-at-injection here."""
-    from ..ckpt.branch import branching_available
-
-    return (experiment.brancher is not None
-            and experiment.boot is not None
-            and branching_available())
-
-
-def _serve_branch_group(items: List, experiment, workers: int,
-                        result_fd: int, telemetry: bool,
-                        trace: bool) -> None:
-    """Branch-group server body: boot once, run the shared live prefix,
-    fork one copy-on-write child per run at its gate.
-
-    The parent process *is* the shared prefix: it executes the gated
-    resume with the group's template config, never injecting anything,
-    and ``BranchController`` forks a child per plan at that run's gate.
-    Children finish their runs naturally, spool their outcome frames
-    (atomic rename — no pipe to deadlock against a parent that is deep
-    inside the simulation), and the parent relays reaped frames to
-    ``result_fd`` in completion order.
-    """
-    import shutil
-    import tempfile
-
-    from ..ckpt.branch import BranchController
-
-    brancher = experiment.brancher
-    template = items[0][1]
-    state = experiment.boot(template)
-    plans = brancher.plan(state, items)
-    spool_dir = tempfile.mkdtemp(prefix="repro-branch-")
-    ctl = BranchController(plans, workers, spool_dir)
-    ctl.on_frame = lambda data: os.write(result_fd, data)
-    telemetry_on = telemetry or trace
-    if telemetry_on:
-        from ..obs import runtime as obs_runtime
-        obs_runtime.configure(metrics=telemetry, tracing=trace)
-        obs_runtime.begin_run()
-    try:
-        outcome = brancher.parent(state, template, ctl)
-    except BaseException as exc:  # noqa: BLE001 — relayed to the parent
-        if ctl.child_plan is not None:
-            ctl.ship_and_exit("err", "%s: %s"
-                              % (type(exc).__name__, exc))
-        raise
-    if ctl.child_plan is not None:
-        # Forked child: ship this run's real outcome and exit hard.
-        payload = outcome
-        if telemetry_on:
-            from ..obs import runtime as obs_runtime
-            payload = _TelemetryEnvelope(outcome, obs_runtime.collect(),
-                                         obs_runtime.take_trace())
-        ctl.ship_and_exit("ok", payload)
-    # Parent: its clean, fault-free outcome is discarded by design.
-    ctl.drain()
-    shutil.rmtree(spool_dir, ignore_errors=True)
-
-
-def _run_branched(pending: List, experiment, workers: int,
-                  record: Callable[[int, Any], None], telemetry: bool,
-                  trace: bool) -> None:
-    """Group pending runs by branch group; one group server per group."""
-    brancher = experiment.brancher
-    groups: Dict[Any, List] = {}
-    for index, config in pending:
-        groups.setdefault(brancher.group(config),
-                          []).append((index, config))
-    for items in groups.values():
-        r_fd, w_fd = os.pipe()
-        server_pid = os.fork()
-        if server_pid == 0:
-            status = 1
-            try:
-                os.close(r_fd)
-                _serve_branch_group(items, experiment, workers, w_fd,
-                                    telemetry, trace)
-                status = 0
-            finally:
-                os.close(w_fd)
-                os._exit(status)
-        os.close(w_fd)
-        got = 0
-        try:
-            while True:
-                frame = _read_frame(r_fd)
-                if frame is None:
-                    break
-                index, tag, payload = frame
-                if tag != "ok":
-                    raise RuntimeError("branch run %d failed: %s"
-                                       % (index, payload))
-                record(index, payload)
-                got += 1
-        finally:
-            os.close(r_fd)
-            os.waitpid(server_pid, 0)
-        if got != len(items):
-            raise RuntimeError(
-                "branch group returned %d of %d outcomes"
-                % (got, len(items)))
-
-
-def run_branched(configs: Sequence[Any], experiment, *, workers: int = 1,
-                 progress: Optional[Callable[[int], None]] = None,
-                 completed: Optional[Dict[int, Any]] = None,
-                 on_outcome: Optional[Callable[[int, Any], None]] = None,
-                 telemetry: bool = False, trace: bool = False
-                 ) -> List[Any]:
-    """Branch-at-injection counterpart of :func:`run_many`.
-
-    Same contract — outcomes in config order, monotonic progress ticks,
-    ``completed`` runs skipped, ``on_outcome`` in completion order — but
-    runs execute as copy-on-write branches forked from each group's
-    shared live prefix at the injection point.  Outcomes are
-    byte-identical to the serial/pool/fork-server paths.
-    """
-    completed = dict(completed or {})
-    outcomes: List[Any] = [None] * len(configs)
-    for index, outcome in completed.items():
-        outcomes[index] = outcome
-    pending = [(index, config) for index, config in enumerate(configs)
-               if index not in completed]
-    ticker = _Ticker(progress, already_done=len(configs) - len(pending))
-
-    def record(index: int, outcome: Any) -> None:
-        outcomes[index] = outcome
-        if on_outcome is not None:
-            on_outcome(index, outcome)
-        ticker.tick()
-
-    if pending:
-        _run_branched(pending, experiment, workers, record, telemetry,
-                      trace)
-    return outcomes
+                "fork-server family returned %d of %d outcomes (server %s)"
+                % (got, len(items), _describe_exit(server_status)))
 
 
 def run_many(configs: Sequence[Any], runner: Callable[[Any], Any], *,
@@ -604,20 +449,32 @@ def run_many(configs: Sequence[Any], runner: Callable[[Any], Any], *,
              ) -> List[Any]:
     """Run every config through ``runner``; outcomes in config order.
 
-    ``runner`` must be a picklable module-level function.  ``completed``
-    maps config indices to already-known outcomes (a resumed journal);
-    those configs are skipped.  ``on_outcome(index, outcome)`` fires in
-    completion order for each *newly computed* outcome, before the
-    progress tick for that run — so a journal line always lands before
-    the tick that announces it.  ``progress(done)`` receives monotonic
-    counts ``len(completed)+1 .. len(configs)`` in both serial and
-    parallel modes.
+    Forked children inherit ``runner``, so it need not pickle; its
+    outcomes cross a pipe and must.  ``completed`` maps config indices
+    to already-known outcomes (a resumed journal); those configs are
+    skipped.  ``on_outcome(index, outcome)`` fires in completion order
+    for each *newly computed* outcome, before the progress tick for that
+    run — so a journal line always lands before the tick that announces
+    it.  ``progress(done)`` receives monotonic counts
+    ``len(completed)+1 .. len(configs)`` on either executor.
 
-    ``fork_boot`` describes the experiment's shared boot prefix; when
-    given and :func:`forkserver_available`, runs execute on the
-    fork-server (boot once per family, fork a copy-on-write child per
-    run) instead of the pool/serial paths.  Outcomes are byte-identical
-    either way.
+    ``fork_boot`` describes the experiment's shared boot prefix, if it
+    registered one and the caller wants it used.  The executor is chosen
+    from ``workers`` and ``fork_boot`` alone; outcomes are byte-identical
+    either way:
+
+    ===========  ==============  =========================================
+    ``workers``  ``fork_boot``   executor
+    ===========  ==============  =========================================
+    1            None            in-process serial loop
+    1            given           fork-server, 1 child at a time
+    N > 1        None            fork-server through a null boot, N children
+    N > 1        given           fork-server, N children
+    ===========  ==============  =========================================
+
+    A fork-server run that raises, or whose child dies, surfaces as a
+    :class:`RuntimeError` naming the run index.  On a platform without
+    ``os.fork`` every row runs in-process, with one note on stderr.
     """
     completed = dict(completed or {})
     outcomes: List[Any] = [None] * len(configs)
@@ -625,43 +482,37 @@ def run_many(configs: Sequence[Any], runner: Callable[[Any], Any], *,
         outcomes[index] = outcome
     pending = [(index, config) for index, config in enumerate(configs)
                if index not in completed]
-    ticker = _Ticker(progress, already_done=len(configs) - len(pending))
+    done = len(configs) - len(pending)
 
     def record(index: int, outcome: Any) -> None:
+        nonlocal done
         outcomes[index] = outcome
         if on_outcome is not None:
             on_outcome(index, outcome)
-        ticker.tick()
+        done += 1
+        if progress is not None:
+            progress(done)
 
-    if fork_boot is not None and pending and forkserver_available():
-        _run_forkserver(pending, fork_boot, workers, record)
+    if not pending:
         return outcomes
-    if workers <= 1 or len(pending) < 2:
-        # A finished run's cluster is one big reference cycle.  Reap it
-        # before the next run builds its own, or dead clusters set the
-        # peak RSS; freezing what already lives keeps each collection
-        # proportional to the run just finished.
-        gc.freeze()
-        try:
-            for index, config in pending:
-                record(index, runner(config))
-                gc.collect()
-        finally:
-            gc.unfreeze()
-        return outcomes
-    # fork (where available) shares the already-imported simulator
-    # modules with the children; spawn re-imports and still works.
-    # REPRO_MP_START_METHOD overrides the choice (the CI spawn leg).
-    method = os.environ.get("REPRO_MP_START_METHOD") or (
-        "fork" if "fork" in multiprocessing.get_all_start_methods()
-        else None)
-    ctx = multiprocessing.get_context(method)
-    workers = min(workers, len(pending))
-    chunksize = max(1, len(pending) // (workers * 4))
-    with ctx.Pool(processes=workers) as pool:
-        for index, outcome in pool.imap_unordered(
-                partial(_invoke, runner), pending, chunksize):
-            record(index, outcome)
+    if fork_boot is not None or workers > 1:
+        if forkserver_available():
+            _run_forkserver(pending, fork_boot or _null_boot(runner),
+                            workers, record)
+            return outcomes
+        print("repro: no os.fork on this platform; running %d runs "
+              "in-process serially" % len(pending), file=sys.stderr)
+    # A finished run's cluster is one big reference cycle.  Reap it
+    # before the next run builds its own, or dead clusters set the
+    # peak RSS; freezing what already lives keeps each collection
+    # proportional to the run just finished.
+    gc.freeze()
+    try:
+        for index, config in pending:
+            record(index, runner(config))
+            gc.collect()
+    finally:
+        gc.unfreeze()
     return outcomes
 
 
@@ -673,9 +524,6 @@ def run_experiment(spec: ExperimentSpec, *, workers: int = 1,
                    trace: bool = False,
                    sample_every: Optional[float] = None,
                    flight_dir: Optional[str] = None,
-                   shards: Optional[int] = None,
-                   shard_schedule: Optional[str] = None,
-                   branch: bool = False,
                    from_snapshot: Optional[str] = None) -> ExperimentResult:
     """Expand, fan out, (optionally) journal, aggregate and render.
 
@@ -685,9 +533,10 @@ def run_experiment(spec: ExperimentSpec, *, workers: int = 1,
     uninterrupted run.  The journal file is left in place on completion
     so a finished campaign re-invokes as a pure cache hit.
 
-    Experiments registered with a boot/resume split run on the
-    fork-server when available; ``forkserver=False`` (the CLI's
-    ``--no-forkserver``) forces the historic spawn-per-run path.
+    Experiments registered with a boot/resume split hand it to
+    :func:`run_many` as the ``fork_boot``; ``forkserver=False`` (the
+    CLI's ``--no-forkserver``) withholds it, so every run boots its own
+    cluster — in-process at ``workers=1`` (see the table there).
 
     ``telemetry`` collects a per-run :class:`MetricsSnapshot` and merges
     them (deterministically — the merge is commutative and runs fold in
@@ -699,31 +548,13 @@ def run_experiment(spec: ExperimentSpec, *, workers: int = 1,
     ``sample_every`` (µs of simulated time) arms the continuous
     sampler: every run's clusters carry a :class:`TimeSeriesSampler`
     and the result grows a ``"timeseries"`` key with one track document
-    per run, assembled in config order so serial, pool, fork-server and
-    sharded execution produce identical documents.  ``flight_dir`` arms
+    per run, assembled in config order so in-process and fork-server
+    execution produce identical documents.  ``flight_dir`` arms
     the flight recorder: anomalous runs (SLO breach, deadlock outcome,
     exception) dump their trace ring plus an anomaly-instant ``ckpt``
     snapshot into that directory; the written paths land on
     ``result.flight_dumps`` (never in the serialized doc).  Both follow
-    the telemetry discipline — outcomes stay byte-identical — and both
-    fall back from the branch executor to the normal paths (a sampler's
-    timer chain crosses the branch gate; recorder rings are per-child).
-
-    ``shards``/``shard_schedule`` select the sharded-simulator execution
-    mode (the CLI's ``--shards``/``--shard-schedule``).  Like telemetry,
-    sharding is pure execution mode: results are byte-identical at equal
-    seeds, so it never appears in the spec.  It travels through the
-    ``REPRO_SHARDS``/``REPRO_SHARD_SCHEDULE`` environment so pool and
-    fork-server children inherit it.
-
-    ``branch`` (the CLI's ``--branch-at injection``) runs the campaign
-    on the branch-at-injection executor where the experiment registered
-    a brancher: each group boots once, runs its live prefix once, and
-    forks a copy-on-write child per run at the injection point.  Like
-    sharding it is pure execution mode — outcomes are byte-identical —
-    and experiments without a brancher (or windowed/threaded shard
-    schedules, whose wheels cannot be single-stepped to an exact
-    instant) silently fall back to the normal executors.
+    the telemetry discipline — outcomes stay byte-identical.
 
     ``from_snapshot`` restores a snapshot file (``repro snapshot``)
     whose spec must match, finishes the checkpointed run from its
@@ -739,10 +570,10 @@ def run_experiment(spec: ExperimentSpec, *, workers: int = 1,
     runner = experiment.run_one
     resume = experiment.resume
     if telemetry_on:
-        runner = partial(_telemetry_invoke, experiment.run_one,
+        runner = partial(_telemetry_scope, experiment.run_one,
                          telemetry, trace, sample_every, flight_dir)
         if resume is not None:
-            resume = partial(_telemetry_resume, experiment.resume,
+            resume = partial(_telemetry_scope, experiment.resume,
                              telemetry, trace, sample_every, flight_dir)
     fork_boot = None
     if forkserver and experiment.boot is not None \
@@ -784,40 +615,13 @@ def run_experiment(spec: ExperimentSpec, *, workers: int = 1,
         obs_runtime.configure(metrics=telemetry, tracing=trace,
                               sample_every=sample_every,
                               flight_dir=flight_dir)
-    shard_env: Dict[str, Optional[str]] = {}
-    if shards is not None or shard_schedule is not None:
-        # build_cluster reads these at boot time, in this process and in
-        # every pool/fork-server child (which inherit the environment).
-        if shard_schedule is not None and shard_schedule not in SCHEDULES:
-            raise ValueError("unknown shard schedule %r (choose from %s)"
-                             % (shard_schedule, ", ".join(SCHEDULES)))
-        updates = {"REPRO_SHARDS": str(shards) if shards is not None else None,
-                   "REPRO_SHARD_SCHEDULE": shard_schedule}
-        for key, value in updates.items():
-            if value is None:
-                continue
-            shard_env[key] = os.environ.get(key)
-            os.environ[key] = value
     try:
-        if branch and branch_supported(experiment) \
-                and shard_schedule in (None, "merged") \
-                and sample_every is None and flight_dir is None:
-            outcomes = run_branched(configs, experiment, workers=workers,
-                                    progress=progress, completed=completed,
-                                    on_outcome=on_outcome,
-                                    telemetry=telemetry, trace=trace)
-        else:
-            outcomes = run_many(configs, runner, workers=workers,
-                                progress=progress, completed=completed,
-                                on_outcome=on_outcome, fork_boot=fork_boot)
+        outcomes = run_many(configs, runner, workers=workers,
+                            progress=progress, completed=completed,
+                            on_outcome=on_outcome, fork_boot=fork_boot)
     finally:
         if telemetry_on:
             obs_runtime.reset()
-        for key, prior in shard_env.items():
-            if prior is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = prior
     wall = time.perf_counter() - started
     snapshot = None
     traces: Optional[List] = None

@@ -2,14 +2,14 @@
 
 Every injection run builds its own :class:`~repro.sim.Simulator` from its
 own seed and shares nothing with its siblings, so campaigns are
-embarrassingly parallel: pass ``workers=N`` to fan runs out over a
-``multiprocessing`` pool.  ``workers=1`` (the default) keeps the historic
+embarrassingly parallel: pass ``workers=N`` to fan runs out over forked
+worker processes.  ``workers=1`` (the default) keeps the in-process
 serial path.  Either way the outcome list is ordered by ``run_id`` and
 every run's result depends only on its config — a parallel campaign is
 byte-identical to a serial one.
 
 The fan-out itself lives in :func:`repro.exp.runner.run_many`, the
-experiment engine's shared pool runner; these campaign entry points are
+experiment engine's shared runner; these campaign entry points are
 also registered as the ``table1`` and ``effectiveness`` experiments
 (``repro run table1``), which adds journaling/resume and result
 manifests on top of the same runs.
@@ -65,27 +65,17 @@ class CampaignResult:
 def run_campaign(runs: int = 200, seed: int = 2003, flavor: str = "gm",
                  messages: int = 16,
                  progress: Optional[Callable[[int], None]] = None,
-                 workers: int = 1, branch: bool = False) -> CampaignResult:
+                 workers: int = 1) -> CampaignResult:
     """Flip one random ``send_chunk`` bit per run; classify each run.
 
-    ``workers > 1`` fans the runs out over a process pool; the result is
-    identical to the serial campaign (same outcomes, same order).
-    ``branch=True`` instead boots one shared prefix per branch group and
-    forks each run off at its injection gate (byte-identical again;
-    falls back to the pool when fork-based branching is unavailable).
+    ``workers > 1`` fans the runs out over forked worker processes; the
+    result is identical to the serial campaign (same outcomes, same
+    order).
     """
     configs = [InjectionConfig(run_id=run_id,
                                seed=derive_run_seed(seed, run_id),
                                flavor=flavor, messages=messages)
                for run_id in range(runs)]
-    if branch:
-        from ..exp.registry import get_experiment
-        from ..exp.runner import branch_supported, run_branched
-
-        experiment = get_experiment("table1")
-        if branch_supported(experiment):
-            return CampaignResult(runs, run_branched(
-                configs, experiment, workers=workers, progress=progress))
     return CampaignResult(runs, run_many(configs, run_injection,
                                          workers=workers,
                                          progress=progress))

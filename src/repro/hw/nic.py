@@ -120,7 +120,7 @@ class Nic:
 
         ``self.link`` is the fabric attachment point (a ``NicPort``);
         returns True once the packet has cleared the wire (delivery
-        completes one wire latency later on the receiver's wheel).
+        completes one wire latency later).
         """
         if self.link is None:
             raise RuntimeError("%s is not cabled to a link" % self.name)

@@ -12,10 +12,7 @@ of a packet's crossing are known when it is queued: it starts at
 direction therefore keeps two :class:`_TimedQueue` deques — transmissions
 waiting to clear, and cleared packets in flight to the far end — each
 walked by one armed timer instead of a process and a heap entry per
-packet.  The in-flight queue is also the shard-boundary channel of the
-sharded simulator: when the two endpoints live on different event wheels
-the arrival crosses through a :class:`repro.sim.ShardChannel` instead of
-being armed directly.
+packet.
 """
 
 from __future__ import annotations
@@ -29,17 +26,6 @@ __all__ = ["Link", "LINK_BANDWIDTH", "LINK_LATENCY"]
 
 LINK_BANDWIDTH = 250.0  # bytes/us == 2 Gb/s
 LINK_LATENCY = 0.4      # us per traversal (cable + SERDES)
-
-
-def _endpoint_sim(endpoint, default: Simulator) -> Simulator:
-    """The event wheel an endpoint's events must run on.
-
-    Serial simulation has one wheel, so this is the link's own sim; the
-    sharded builder gives NIC ports and switch ports a ``wheel``
-    attribute naming their shard's wheel.
-    """
-    wheel = getattr(endpoint, "wheel", None)
-    return wheel if wheel is not None else default
 
 
 def _flight_state(when, packet, duplicate, on_accept) -> dict:
@@ -94,18 +80,15 @@ class _Wire:
     """One direction of a link: a FIFO wire in closed form.
 
     ``clearing`` holds queued transmissions by the instant each clears
-    the wire (sender's wheel); ``arriving`` holds cleared packets by the
-    instant they reach ``receiver`` (receiver's wheel).  ``post`` files a
-    cleared packet under its arrival instant: ``arriving.push``, or a
-    cross-shard direction's ``channel.post``.
+    the wire; ``arriving`` holds cleared packets by the instant they
+    reach ``receiver``.
     """
 
     __slots__ = ("link", "receiver", "sim", "bandwidth", "free_at",
-                 "bytes_moved", "busy_time", "clearing", "arriving",
-                 "channel", "post")
+                 "bytes_moved", "busy_time", "clearing", "arriving")
 
     def __init__(self, link: "Link", receiver, sim: Simulator,
-                 receiver_sim: Simulator, bandwidth: float):
+                 bandwidth: float):
         if bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
         self.link = link
@@ -116,9 +99,7 @@ class _Wire:
         self.bytes_moved = 0
         self.busy_time = 0.0    # wire time of the packets cleared so far
         self.clearing = _TimedQueue(sim, self._clear)
-        self.arriving = _TimedQueue(receiver_sim, self._arrive)
-        self.channel = None
-        self.post = self.arriving.push
+        self.arriving = _TimedQueue(sim, self._arrive)
 
     def transmit(self, packet, delay, on_accept, done) -> None:
         # The exact floats a request -> grant -> hold -> release chain
@@ -160,18 +141,19 @@ class _Wire:
                                  packet=packet.describe())
                 ok = False
         if ok:
-            self.post(clear + link.latency, packet, duplicate, on_accept)
+            self.arriving.push(clear + link.latency, packet, duplicate,
+                               on_accept)
         if done is not None:
             done.succeed(ok)
 
     def _arrive(self, _when, packet, duplicate, on_accept) -> None:
-        """Complete one arrival (runs on the receiver's wheel)."""
+        """Complete one arrival at the far end."""
         link = self.link
         link.packets_carried += 1
         accepted = self.receiver.deliver_packet(packet)
         if duplicate is not None:
             link.packets_duplicated += 1
-            link.tracer.emit(self.arriving.sim.now, "link",
+            link.tracer.emit(self.sim.now, "link",
                              "fault_duplicate", packet=duplicate.describe())
             self.receiver.deliver_packet(duplicate)
         if accepted and on_accept is not None:
@@ -221,15 +203,11 @@ class Link:
         self.end_a = end_a
         self.end_b = end_b
         self.latency = latency
-        sim_a = _endpoint_sim(end_a, sim)
-        sim_b = _endpoint_sim(end_b, sim)
-        # Keyed by sender; arrivals land on the *receiver's* wheel.
+        # Keyed by sender.
         self._wires = {
-            id(end_a): _Wire(self, end_b, sim_a, sim_b, bandwidth),
-            id(end_b): _Wire(self, end_a, sim_b, sim_a, bandwidth),
+            id(end_a): _Wire(self, end_b, sim, bandwidth),
+            id(end_b): _Wire(self, end_a, sim, bandwidth),
         }
-        if sim_a is not sim_b:
-            self._bind_shards(sim_a, sim_b)
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.up = True
         self.packets_carried = 0
@@ -240,25 +218,6 @@ class Link:
         # Test/experiment hook: drop (True), corrupt ("corrupt") or
         # duplicate ("duplicate") packets.
         self.fault_filter = None  # callable(packet) -> False|True|"corrupt"|"duplicate"
-
-    def _bind_shards(self, sim_a: Simulator, sim_b: Simulator) -> None:
-        from ..sim import LookaheadError, ShardChannel
-        scheduler = getattr(sim_a, "scheduler", None)
-        if scheduler is None or getattr(sim_b, "scheduler", None) is not scheduler:
-            raise ValueError(
-                "link %s spans two unrelated simulators"
-                % self.describe_ends())
-        if self.latency <= 0.0:
-            raise LookaheadError(
-                "link %s crosses shards with zero wire latency; the "
-                "conservative protocol needs positive lookahead — give the "
-                "link latency or co-locate both endpoints on one shard"
-                % self.describe_ends())
-        for wire in self._wires.values():
-            wire.channel = ShardChannel(scheduler, wire.sim,
-                                        wire.arriving.sim, self.latency,
-                                        wire.arriving)
-            wire.post = wire.channel.post
 
     def other(self, endpoint):
         if endpoint is self.end_a:
@@ -275,16 +234,16 @@ class Link:
         must be one constant per direction, so ready order is queue
         order).  A cut link or a fault-filter drop loses it at that
         instant — the sender's protocol layer must recover, which is
-        exactly GM's job.  Delivery completes one wire latency later on
-        the receiver's wheel; ``on_accept`` is called then if the far end
-        accepted the packet.  ``done``, if given, is an event succeeded
-        at wire-clear with whether the packet went on toward the far end.
+        exactly GM's job.  Delivery completes one wire latency later;
+        ``on_accept`` is called then if the far end accepted the packet.
+        ``done``, if given, is an event succeeded at wire-clear with
+        whether the packet went on toward the far end.
         """
         self._wires[id(sender)].transmit(packet, delay, on_accept, done)
 
     def send(self, sender, packet, on_accept=None) -> Generator:
         """Process: :meth:`transmit` and wait for the wire to clear."""
-        done = self._wires[id(sender)].sim.event()
+        done = self.sim.event()
         self.transmit(sender, packet, 0.0, on_accept, done)
         ok = yield done
         return ok
@@ -311,7 +270,7 @@ class Link:
                             getattr(self.end_b, "name", "?"))
 
     def ckpt_state(self) -> dict:
-        """Snapshot contract: both wires, fault state, boundary channels."""
+        """Snapshot contract: both wires and the fault state."""
         wires = [self._wires[id(self.end_a)], self._wires[id(self.end_b)]]
         return {
             "ends": self.describe_ends(),
@@ -324,6 +283,4 @@ class Link:
             "cuts": self.cuts,
             "fault_filter": self.fault_filter is not None,
             "wires": [wire.ckpt_state() for wire in wires],
-            "channels": [wire.channel.ckpt_state() for wire in wires
-                         if wire.channel is not None],
         }

@@ -39,8 +39,6 @@ from .campaign import (
     NetFaultCampaignResult,
     NetFaultConfig,
     NetFaultOutcome,
-    netfault_group,
-    plan_netfault_runs,
     resume_netfault,
 )
 
@@ -53,8 +51,6 @@ __all__ = [
     "boot_closfault",
     "resume_closfault",
     "closfault_family",
-    "closfault_group",
-    "plan_closfault_runs",
     "run_closfault_injection",
 ]
 
@@ -216,21 +212,6 @@ def closfault_family(config: ClosFaultConfig):
             config.n_switches, config.radix)
 
 
-def closfault_group(config: ClosFaultConfig):
-    """Branch-group key: the netfault prefix fields plus the closfault
-    scenario knobs (all of which shape the fault schedule a child
-    replays, none of which touch the shared pre-fault trajectory)."""
-    return netfault_group(config) + (
-        config.flavor, config.rack_down_us, config.cascade_stagger_us,
-        config.flap_revive_us, config.second_cut_us)
-
-
-def plan_closfault_runs(cluster, items):
-    """Closfault runs replay the same (rng, plane, fault-time) draw
-    sequence as flat netfault runs; the planner is shared."""
-    return plan_netfault_runs(cluster, items)
-
-
 def boot_closfault(config: ClosFaultConfig):
     return build_cluster(config.n_nodes, flavor=config.flavor,
                          seed=config.seed, topology=config.topology,
@@ -239,13 +220,13 @@ def boot_closfault(config: ClosFaultConfig):
 
 
 def resume_closfault(cluster, config: ClosFaultConfig,
-                     branch=None, pause_at=None):
+                     pause_at=None):
     """Inject a compound scenario and classify, on a booted cluster.
 
     Detectors are armed only on workload-active nodes (with the 3-tier
     scout TTL): on a hundreds-of-nodes fabric the other nodes stay
     parked — a sweeping detector per idle node would keep every MCP
-    awake for nothing.  ``branch``/``pause_at`` pass straight through to
+    awake for nothing.  ``pause_at`` passes straight through to
     :func:`repro.netfaults.campaign.resume_netfault`.
     """
     active = sorted({node for pair in (config.pairs or ())
@@ -255,7 +236,7 @@ def resume_closfault(cluster, config: ClosFaultConfig,
         inject_fn=inject_closfault,
         detector_nodes=active or None,
         detector_kwargs={"scout_ttl": DETECTOR_SCOUT_TTL},
-        branch=branch, pause_at=pause_at)
+        pause_at=pause_at)
 
 
 def run_closfault_injection(config: ClosFaultConfig) -> NetFaultOutcome:

@@ -26,11 +26,6 @@ from ..sim import SeededRng, Simulator, Tracer
 
 __all__ = ["NetworkFaultPlane", "FaultAction"]
 
-# Placeholder arming time for branch execution: far beyond any
-# experiment horizon, so an un-adopted placeholder can never fire.
-_FAR_FUTURE = 1e15
-
-
 @dataclass
 class FaultAction:
     """Audit record of one fault-plane action (deterministic order)."""
@@ -38,18 +33,6 @@ class FaultAction:
     at: float
     action: str
     target: str
-
-
-class _ArmSlot:
-    """One branch placeholder: a parked waiter awaiting adoption."""
-
-    __slots__ = ("fn", "name", "process", "timeout")
-
-    def __init__(self, fn, name: str):
-        self.fn = fn
-        self.name = name
-        self.process = None
-        self.timeout = None
 
 
 class NetworkFaultPlane:
@@ -62,12 +45,6 @@ class NetworkFaultPlane:
         self.rng = rng
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.actions: List[FaultAction] = []
-        # Branch-execution support (see repro.ckpt.branch): in capture
-        # mode _schedule records (at, fn, name) instead of arming;
-        # branch slots are placeholder waiters a forked child later
-        # adopts by rewriting their wheel entries to true fire times.
-        self._capture: Optional[list] = None
-        self._branch_slots: Optional[List[_ArmSlot]] = None
 
     # -- component addressing -------------------------------------------------
 
@@ -116,9 +93,6 @@ class NetworkFaultPlane:
 
     def _schedule(self, at: float, fn, name: str) -> None:
         """Run ``fn()`` at absolute simulated time ``at``."""
-        if self._capture is not None:
-            self._capture.append((at, fn, name))
-            return
         delay = at - self.sim.now
         if delay <= 0:
             fn()
@@ -130,113 +104,10 @@ class NetworkFaultPlane:
 
         self.sim.spawn(waiter(), name="netfaults.%s" % name)
 
-    # -- branch execution (repro.ckpt.branch) ---------------------------------
-
-    def begin_capture(self) -> None:
-        """Record scheduled actions instead of arming them.
-
-        Used twice by branch execution: in the parent to learn the shape
-        of a run's fault schedule (how many arms, what names) without
-        touching the wheel, and in the child to collect the true
-        ``(at, fn, name)`` tuples that :meth:`adopt_captured` grafts
-        onto the parent's placeholders.
-        """
-        if self._capture is not None:
-            raise RuntimeError("fault-plane capture already active")
-        self._capture = []
-
-    def drain_capture(self) -> list:
-        captured, self._capture = self._capture, None
-        if captured is None:
-            raise RuntimeError("fault-plane capture was not active")
-        return captured
-
-    def arm_branch_slots(self, captured: Sequence) -> None:
-        """Arm one far-future placeholder waiter per captured action.
-
-        Each placeholder consumes exactly the seq/ids a cold run's
-        ``_schedule`` arm would — one process spawn (whose bootstrap
-        resume takes a heap entry) plus one timeout allocated at first
-        resume — so the parent's event wheel stays entry-for-entry
-        congruent with a cold boot.  A forked child later calls
-        :meth:`adopt_captured` to rewrite the placeholders to its own
-        fault schedule; in the parent they sit parked at ``_FAR_FUTURE``
-        and never fire.
-        """
-        if self._branch_slots is not None:
-            raise RuntimeError("branch slots already armed")
-        sim = self.sim
-        slots: List[_ArmSlot] = []
-        for at, fn, name in captured:
-            if at <= sim.now:
-                raise RuntimeError(
-                    "cannot branch-arm a fault action in the past "
-                    "(at=%r, now=%r)" % (at, sim.now))
-            slot = _ArmSlot(fn, name)
-
-            def waiter(slot: _ArmSlot = slot) -> Generator:
-                slot.timeout = self.sim.timeout(_FAR_FUTURE - self.sim.now)
-                yield slot.timeout
-                slot.fn()
-
-            slot.process = sim.spawn(waiter(),
-                                     name="netfaults.%s" % name)
-            slots.append(slot)
-        self._branch_slots = slots
-
-    def adopt_captured(self, captured: Sequence) -> None:
-        """Graft a child's true fault schedule onto the placeholders.
-
-        For placeholder *k* and captured action *k*: swap in the real
-        callback, rename the waiter process, and rewrite the
-        placeholder timeout's wheel entry from ``(_FAR_FUTURE, seq)``
-        to ``(at_k, seq)``.  ``Timeout`` objects store no time of their
-        own — the fire time lives only in the heap tuple — so rewriting
-        the tuple and re-heapifying is sufficient and exact: pop order
-        is decided by the globally unique ``(when, seq)`` key, and the
-        seq values are the very ones a cold run's arms would have drawn.
-        """
-        import heapq
-        slots = self._branch_slots
-        if slots is None:
-            raise RuntimeError("no branch slots armed")
-        if len(captured) != len(slots):
-            raise RuntimeError(
-                "branch schedule shape mismatch: %d placeholder(s) armed "
-                "but child captured %d action(s) — fault-action counts "
-                "must be seed-independent within a branch group"
-                % (len(slots), len(captured)))
-        rewrites = {}
-        for slot, (at, fn, name) in zip(slots, captured):
-            if slot.timeout is None:
-                raise RuntimeError(
-                    "placeholder %r not yet armed (run the simulator past "
-                    "the arm point before adopting)" % (slot.name,))
-            slot.fn = fn
-            slot.name = name
-            slot.process.name = "netfaults.%s" % name
-            rewrites[id(slot.timeout)] = at
-        queue = self.sim._queue
-        changed = 0
-        for i, entry in enumerate(queue):
-            at = rewrites.get(id(entry[2]))
-            if at is not None:
-                queue[i] = (at, entry[1], entry[2])
-                changed += 1
-        if changed != len(rewrites):
-            raise RuntimeError(
-                "only %d of %d placeholder timeouts found on the wheel"
-                % (changed, len(rewrites)))
-        heapq.heapify(queue)
-        self._branch_slots = None
-
     def ckpt_state(self) -> dict:
-        """Snapshot contract: the audit log and branch bookkeeping."""
+        """Snapshot contract: the audit log."""
         return {
             "actions": [[a.at, a.action, a.target] for a in self.actions],
-            "branch_slots": (len(self._branch_slots)
-                             if self._branch_slots is not None else 0),
-            "capturing": self._capture is not None,
         }
 
     # -- link faults ----------------------------------------------------------

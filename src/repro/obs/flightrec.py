@@ -262,9 +262,6 @@ def restore_flight_dump(dump: Any, verify: bool = True):
                doc.get("snapshot_error", "ring-only dump")))
     from ..ckpt.snapshot import Snapshot, restore_snapshot
 
-    snapshot = Snapshot(experiment=snap_doc["experiment"],
-                        spec=snap_doc["spec"],
-                        run_index=snap_doc["run_index"],
-                        at_us=snap_doc["at_us"],
-                        capture=snap_doc["capture"])
+    snapshot = Snapshot.from_dict(
+        snap_doc, dump if isinstance(dump, str) else "flight dump")
     return restore_snapshot(snapshot, verify=verify)

@@ -2,8 +2,8 @@
 
 The experiment engine configures telemetry *intent* once per process
 (``configure``), then brackets each run with ``begin_run`` /
-``collect``.  Fork-server children inherit the flags through ``fork``;
-pool workers re-configure from arguments carried in the task partial.
+``collect``.  Fork-server children inherit the flags through ``fork``
+and re-configure from arguments carried in the run's partial.
 Everything here is process-local — runs never share a live registry —
 so a run's snapshot only ever reflects its own cluster.
 

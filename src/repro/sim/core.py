@@ -401,17 +401,11 @@ class Simulator:
     __slots__ = ("_now", "_queue", "_seq", "active_process", "event",
                  "timeout", "ids", "inert")
 
-    def __init__(self, seq: Optional[Any] = None, ids: Optional[Any] = None):
+    def __init__(self):
         self._now = 0.0
         queue: List = []
         self._queue = queue
-        # ``seq``/``ids`` may be injected so several wheels can share one
-        # tie-break counter and one id stream (sharded simulation: the
-        # merged schedule's event order is then bit-identical to a single
-        # wheel holding every event).  Left to None, each Simulator owns
-        # private counters — the historical behaviour, byte-for-byte.
-        if seq is None:
-            seq = itertools.count()
+        seq = itertools.count()
         self._seq = seq
         self.active_process: Optional[Process] = None
         # Per-run identifier source for model objects (message ids, token
@@ -421,7 +415,7 @@ class Simulator:
         # in the process into the current one, breaking run-for-run
         # determinism (serial vs. pooled vs. forked executions would
         # disagree).
-        self.ids = ids if ids is not None else itertools.count(1)
+        self.ids = itertools.count(1)
         # Scheduled events that provably cannot change observable state
         # when they fire: replaced/stopped interval-timer expiries, and
         # idle housekeeping ticks an MCP has committed to absorbing
@@ -548,8 +542,6 @@ class Simulator:
 
         The horizon the tickless idle fold leans on: between now and this
         time, nothing in the schedule can create externally visible work.
-        A shard wheel overrides this to scan *every* wheel — work headed
-        this way may still sit in another shard's queue.
         """
         inert = self.inert
         t_ext = float("inf")
@@ -649,35 +641,3 @@ class Simulator:
             "queue": [list(e) for e in entries],
             "inert": len(self.inert),
         }
-
-    def run_before(self, bound: float) -> None:
-        """Process every queued event strictly earlier than ``bound``.
-
-        The conservative shard protocol grants a wheel the half-open
-        window ``[now, bound)``: any event at exactly ``bound`` may still
-        race an incoming cross-shard delivery, so it must wait for the
-        next grant.  Unlike :meth:`run`, the clock is left at the last
-        processed event — the coordinator owns window-edge bookkeeping.
-        """
-        queue = self._queue
-        pop = _heappop
-        while queue and queue[0][0] < bound:
-            when, _, item = pop(queue)
-            self._now = when
-            if item.__class__ is _Resume:
-                item.process._resume(item)
-                continue
-            callbacks, item.callbacks = item.callbacks, None
-            exc = item._exc
-            if exc is None:
-                if len(callbacks) == 1:
-                    callbacks[0](item)
-                    continue
-                for callback in callbacks:
-                    callback(item)
-                continue
-            handled = item._defused or bool(callbacks)
-            for callback in callbacks:
-                callback(item)
-            if not handled:
-                raise exc

@@ -31,7 +31,7 @@ def _entry(**overrides):
     entry = {
         "cpus": 1,
         "campaign": {"runs": 8, "runs_per_sec": 4.0, "wall_s": 2.0,
-                     "workers": 1, "shards": 1, "branch": False},
+                     "workers": 1},
     }
     entry.update(overrides)
     return entry
@@ -83,19 +83,15 @@ class TestEntryValidation:
         with pytest.raises(SystemExit, match="workers"):
             harness.merge_into(str(tmp_path / "bench.json"), "pr9", entry)
 
-    def test_campaign_results_need_shards_axis(self, harness, tmp_path):
-        entry = _entry()
-        del entry["campaign"]["shards"]
-        with pytest.raises(SystemExit, match="shards"):
-            harness.merge_into(str(tmp_path / "bench.json"), "pr9", entry)
-
-    def test_campaign_results_need_branch_axis(self, harness, tmp_path):
-        # A branched runs/s shares the whole pre-fault prefix across a
-        # group — not comparable to a cold-boot rate without the flag.
-        entry = _entry()
-        del entry["campaign"]["branch"]
-        with pytest.raises(SystemExit, match="branch"):
-            harness.merge_into(str(tmp_path / "bench.json"), "pr9", entry)
+    def test_removed_executor_axes_are_optional(self, harness, tmp_path):
+        # Entries recorded while the sharded and branch executors existed
+        # carry their axes; new entries may too, and need not.
+        out = tmp_path / "bench.json"
+        old_shape = _entry()
+        old_shape["campaign"].update(shards=1, shard_schedule="merged",
+                                     branch=False)
+        assert harness.merge_into(str(out), "pr9", old_shape) == "pr9"
+        assert harness.merge_into(str(out), "pr16", _entry()) == "pr16"
 
     def test_non_rate_subresults_are_exempt(self, harness, tmp_path):
         out = tmp_path / "bench.json"
@@ -110,9 +106,7 @@ class TestEntryValidation:
         from repro.exp.perfbench import environment_info
 
         results = {
-            "campaign": {"runs": 8, "workers": 1, "shards": 1,
-                         "shard_schedule": "merged", "branch": False,
-                         "wall_s": 1.0,
+            "campaign": {"runs": 8, "workers": 1, "wall_s": 1.0,
                          "runs_per_sec": 8.0, "counts": {}},
         }
         results.update(environment_info())
@@ -120,7 +114,7 @@ class TestEntryValidation:
 
     def test_existing_ledger_labels_untouched(self, harness, tmp_path):
         # Validation applies to the entry being merged, not to history:
-        # a ledger holding pre-shard-era entries still accepts new ones.
+        # a ledger holding axis-less early entries still accepts new ones.
         out = tmp_path / "bench.json"
         doc = {"schema": 1,
                "entries": {"pr1": {"campaign": {"runs_per_sec": 3.2}}}}

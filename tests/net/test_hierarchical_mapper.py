@@ -92,7 +92,7 @@ class TestRemapAfterSwitchLoss:
     def test_rerun_avoids_dead_agg_switch(self):
         cluster = build_cluster(16, flavor="gm", seed=7,
                                 topology="fat-tree", radix=4)
-        plane = NetworkFaultPlane(cluster.fabric_sim, cluster.fabric,
+        plane = NetworkFaultPlane(cluster.sim, cluster.fabric,
                                   SeededRng(0, "test"))
         # Kill the aggregation switch the current 0 -> 12 route uses.
         route = cluster[0].mcp.routing_table[12]

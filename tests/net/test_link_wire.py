@@ -100,6 +100,18 @@ class TestClosedFormMatchesPipe:
             == _reference(schedule, delay, horizon)
 
 
+def test_zero_latency_link_delivers_at_wire_clear_in_queue_order():
+    # No propagation delay is a legal cable: arrival coincides with the
+    # instant the packet's tail clears, and FIFO order still holds.
+    sim = Simulator()
+    a, b = _Endpoint(sim, "a"), _Endpoint(sim, "b")
+    link = Link(sim, a, b, bandwidth=BANDWIDTH, latency=0.0)
+    link.transmit(a, _Packet(500, 0))
+    link.transmit(a, _Packet(250, 1))
+    sim.run()
+    assert b.arrivals == [(2.0, 0), (3.0, 1)]
+
+
 class TestCutWhileQueued:
     def test_packets_clearing_after_cut_drop(self):
         sim = Simulator()

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.ckpt.snapshot import SnapshotMismatch
 from repro.exp.registry import get_experiment
 from repro.exp.runner import run_experiment
 from repro.obs import flightrec
@@ -198,6 +199,12 @@ class TestDumps:
 
         paused = restore_flight_dump(dumps[0], verify=True)
         assert paused.now == doc["at_us"]
+
+        # A dump embedding the previous snapshot format is refused by
+        # version, before any replay could end in a hash mismatch.
+        doc["snapshot"]["snapshot"] = 1
+        with pytest.raises(SnapshotMismatch, match="snapshot version 1"):
+            restore_flight_dump(doc)
 
     def test_clean_campaign_writes_no_dumps(self, tmp_path):
         spec = get_experiment("netfaults").build_spec(

@@ -192,12 +192,11 @@ class TestEngineIntegration:
         docs = [
             _run("netfaults", NF_PARAMS, sample_every=2000.0,
                  **mode).to_doc()["timeseries"]
-            for mode in ({}, {"workers": 2}, {"forkserver": False},
-                         {"shards": 2})
+            for mode in ({}, {"workers": 2}, {"forkserver": False})
         ]
         as_json = [json.dumps(d, sort_keys=True) for d in docs]
         assert all(d == as_json[0] for d in as_json), \
-            "serial/pool/spawn/sharded timeseries must be identical"
+            "fork-server/parallel/in-process timeseries must be identical"
 
     def test_result_doc_with_timeseries_validates(self):
         result = _run("netfaults", NF_PARAMS, sample_every=2000.0)

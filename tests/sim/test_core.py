@@ -364,3 +364,19 @@ def test_peek_reports_next_event_time():
     assert sim.peek() == 7.0
     sim.run()
     assert sim.peek() == float("inf")
+
+
+def test_earliest_live_skips_inert_events():
+    # The idle fold's external-work horizon: the earliest scheduled
+    # event that could still create work, wherever it sits in the heap.
+    sim = Simulator()
+    assert sim.earliest_live() == float("inf")
+    housekeeping = sim.timeout(2.0)
+    sim.inert.add(housekeeping)
+    assert sim.peek() == 2.0
+    assert sim.earliest_live() == float("inf")
+    sim.timeout(9.0)
+    sim.timeout(7.0)
+    assert sim.earliest_live() == 7.0
+    sim.run(until=8.0)
+    assert sim.earliest_live() == 9.0
