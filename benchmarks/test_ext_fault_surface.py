@@ -9,16 +9,20 @@ and benign perturbations (unverified checksum seeds, diagnostics).
 
 from conftest import env_int
 
-from repro.faults import Category, run_campaign
-from repro.faults.surface import FieldKind, analyze_surface
+from repro.exp.registry import get_experiment
+from repro.exp.runner import run_experiment
+from repro.faults import Category
+from repro.faults.surface import FieldKind
 
 
 def test_ext_fault_surface(benchmark, report):
     runs = env_int("REPRO_T1_RUNS", 150)
 
     def campaign_and_analyze():
-        campaign = run_campaign(runs=runs, seed=6007, messages=10)
-        return campaign, analyze_surface(campaign.outcomes)
+        experiment = get_experiment("surface")
+        spec = experiment.build_spec(
+            {"runs": runs, "seed": 6007, "messages": 10})
+        return experiment.aggregate(spec, run_experiment(spec).outcomes)
 
     campaign, surface = benchmark.pedantic(campaign_and_analyze,
                                            rounds=1, iterations=1)

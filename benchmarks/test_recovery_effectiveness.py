@@ -7,14 +7,18 @@ recovered (five under investigation).  We require full detection and a
 
 from conftest import env_int
 
-from repro.faults import run_effectiveness_study
+from repro.exp.registry import get_experiment
+from repro.exp.runner import run_experiment
 
 
 def test_recovery_effectiveness(benchmark, report):
     runs = env_int("REPRO_EFF_RUNS", 80)
 
     def study():
-        return run_effectiveness_study(runs=runs, seed=7001, messages=10)
+        experiment = get_experiment("effectiveness")
+        spec = experiment.build_spec(
+            {"runs": runs, "seed": 7001, "messages": 10})
+        return experiment.aggregate(spec, run_experiment(spec).outcomes)
 
     result = benchmark.pedantic(study, rounds=1, iterations=1)
     report("recovery_effectiveness", result.render())

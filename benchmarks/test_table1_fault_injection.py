@@ -11,14 +11,19 @@ is the largest bucket; hangs + corrupted messages dominate the failures
 
 from conftest import env_int
 
-from repro.faults import Category, run_campaign
+from repro.exp.registry import get_experiment
+from repro.exp.runner import run_experiment
+from repro.faults import Category
 
 
 def test_table1_fault_injection(benchmark, report):
     runs = env_int("REPRO_T1_RUNS", 150)
 
     def campaign():
-        return run_campaign(runs=runs, seed=2003, messages=12)
+        experiment = get_experiment("table1")
+        spec = experiment.build_spec(
+            {"runs": runs, "seed": 2003, "messages": 12})
+        return experiment.aggregate(spec, run_experiment(spec).outcomes)
 
     result = benchmark.pedantic(campaign, rounds=1, iterations=1)
     report("table1_fault_injection", result.render())

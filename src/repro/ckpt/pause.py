@@ -6,7 +6,8 @@ of an outcome: the cluster is live, every process is parked exactly
 where the event wheel left it, and the caller can inspect state, step
 the clock forward, capture a snapshot, or finish the run.  This is the
 "re-enter a failed run just before the fault" workflow from
-docs/CHECKPOINT.md — no re-run from zero.
+docs/CHECKPOINT.md — no re-run from zero.  :func:`drive_run` is the one
+drive loop every campaign's resume ends in, paused or not.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Any, Callable, Dict, Optional
 
 from .capture import capture_state
 
-__all__ = ["PausedRun"]
+__all__ = ["PausedRun", "drive_run"]
 
 
 class PausedRun:
@@ -60,3 +61,43 @@ class PausedRun:
             raise RuntimeError("run already finished")
         self.finished = True
         return self._finish()
+
+
+def drive_run(cluster, config, finish: Callable[[], Any], *,
+              horizon: float, slice_us: float,
+              done: Optional[Callable[[], bool]] = None,
+              pause_at: Optional[float] = None,
+              extras: Optional[Dict[str, Any]] = None) -> Any:
+    """Drive a started run to ``horizon``, then return ``finish()``.
+
+    The simulator advances in slices through ``run()``'s inlined event
+    loop, each from the next pending event to ``slice_us`` past it, and
+    stops early once ``done()`` is true.  ``done`` is polled once per
+    slice, not once per event: every outcome field is frozen by the time
+    it turns true, so observing up to a slice past that instant
+    classifies identically.  The slice fixes every ``run(until=...)``
+    boundary, so a caller keeps its slice to keep its outcomes.
+
+    With ``pause_at`` the run stops at that instant instead (never past
+    ``horizon``) and a :class:`PausedRun` comes back whose ``finish()``
+    drives the rest of the way and returns ``finish()``.
+    """
+    sim = cluster.sim
+
+    def advance(limit: float) -> None:
+        while done is None or not done():
+            next_at = sim.peek()
+            if next_at > limit:
+                break
+            sim.run(until=min(next_at + slice_us, limit))
+
+    def complete() -> Any:
+        advance(horizon)
+        return finish()
+
+    if pause_at is None:
+        return complete()
+    limit = min(pause_at, horizon)
+    advance(limit)
+    sim.run(until=limit)
+    return PausedRun(cluster, config, extras, complete)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Union
 
 from .capture import canonical_json
 from .pause import PausedRun
@@ -85,8 +85,7 @@ def _pause_run(spec, run_index: int, at_us: float) -> PausedRun:
     from ..exp.registry import get_experiment
 
     experiment = get_experiment(spec.experiment)
-    if experiment.boot is None or experiment.resume is None \
-            or experiment.pause is None:
+    if experiment.resume is None:
         raise SnapshotMismatch(
             "experiment %r does not support snapshots (no pauseable "
             "boot/resume split)" % spec.experiment)
@@ -96,8 +95,8 @@ def _pause_run(spec, run_index: int, at_us: float) -> PausedRun:
             "run index %d outside the spec's %d runs"
             % (run_index, len(configs)))
     config = configs[run_index]
-    state = experiment.boot(config)
-    return experiment.pause(state, config, at_us)
+    return experiment.resume(experiment.boot(config), config,
+                             pause_at=at_us)
 
 
 def take_snapshot(spec, at_us: float, run_index: int = 0) -> Snapshot:

@@ -1,8 +1,9 @@
-"""Command-line experiment driver: ``python -m repro <experiment>``.
+"""Command-line experiment driver: ``python -m repro run <experiment>``.
 
-Every verb resolves through the experiment registry
-(:mod:`repro.exp.registry`) — the legacy spellings keep working and two
-engine verbs drive anything registered::
+Every experiment resolves through the registry
+(:mod:`repro.exp.registry`) and runs under one spelling,
+``repro run <name>``; ``metrics``, ``report`` and ``snapshot`` take the
+same target and options::
 
     python -m repro list
     python -m repro run table1 --runs 300 --workers 4 --out t1.json
@@ -21,16 +22,8 @@ engine verbs drive anything registered::
         --at 4000 --run 2 --out nf.snapshot.json
     python -m repro run netfaults --runs-per-scenario 1 \\
         --from-snapshot nf.snapshot.json    # splice the restored run in
-
-    python -m repro table1 --runs 300
-    python -m repro table2
-    python -m repro table3
-    python -m repro fig7 --messages 30
-    python -m repro fig8 --iterations 40
-    python -m repro fig9
-    python -m repro fig45
-    python -m repro effectiveness --runs 120
-    python -m repro netfaults --runs 5 --workers 4
+    python -m repro run fig7 --messages 30
+    python -m repro run effectiveness --runs 120
 
 ``--out`` writes the unified result JSON (spec + manifest + outcomes +
 rendered text; see ``docs/EXPERIMENTS_ENGINE.md``); ``--journal`` makes
@@ -55,42 +48,33 @@ def _progress_printer(experiment, total: int) -> Optional[Callable]:
     every = experiment.progress_every
     if not every:
         return None
-    fmt = experiment.progress_fmt
-    two_fields = fmt.count("%d") == 2
 
     def progress(done: int) -> None:
         if done % every == 0:
-            message = fmt % (done, total) if two_fields else fmt % done
-            print(message, file=sys.stderr)
+            print("  ... %d/%d runs" % (done, total), file=sys.stderr)
 
     return progress
 
 
-def _execute(experiment, spec, *, workers: int,
-             out: Optional[str] = None,
-             journal: Optional[str] = None,
-             forkserver: bool = True,
-             telemetry: bool = False,
-             trace: Optional[str] = None,
-             sample_every: Optional[float] = None,
-             flight_dir: Optional[str] = None,
-             from_snapshot: Optional[str] = None):
+def _execute(experiment, spec, ns, telemetry: bool = False):
+    """Run ``spec`` with the common options parsed into ``ns``."""
     from .ckpt.snapshot import SnapshotMismatch
     from .exp.runner import JournalMismatch, run_experiment
 
+    trace = ns.trace
     try:
         result = run_experiment(
-            spec, workers=workers,
+            spec, workers=ns.workers,
             progress=_progress_printer(experiment, spec.runs),
-            journal_path=journal, forkserver=forkserver,
+            journal_path=ns.journal, forkserver=not ns.no_forkserver,
             telemetry=telemetry, trace=trace is not None,
-            sample_every=sample_every, flight_dir=flight_dir,
-            from_snapshot=from_snapshot)
+            sample_every=ns.sample_every, flight_dir=ns.flight_recorder,
+            from_snapshot=ns.from_snapshot)
     except (JournalMismatch, SnapshotMismatch) as exc:
         raise SystemExit("error: %s" % exc)
-    if out:
-        result.write(out)
-        print("wrote %s" % out, file=sys.stderr)
+    if ns.out:
+        result.write(ns.out)
+        print("wrote %s" % ns.out, file=sys.stderr)
     for path in result.flight_dumps or []:
         print("flight dump: %s" % path, file=sys.stderr)
     if trace:
@@ -105,24 +89,6 @@ def _execute(experiment, spec, *, workers: int,
         print("wrote %s (%d runs traced; load in Perfetto or "
               "chrome://tracing)" % (trace, len(runs)), file=sys.stderr)
     return result
-
-
-def _run_registered(experiment, args) -> str:
-    """Legacy-verb handler: CLI namespace -> spec -> engine."""
-    params = {option.dest: getattr(args, option.dest)
-              for option in experiment.options}
-    spec = experiment.build_spec(params)
-    trace = getattr(args, "trace", None)
-    result = _execute(experiment, spec,
-                      workers=getattr(args, "workers", 1),
-                      out=getattr(args, "out", None),
-                      journal=getattr(args, "journal", None),
-                      forkserver=not getattr(args, "no_forkserver", False),
-                      trace=trace,
-                      sample_every=getattr(args, "sample_every", None),
-                      flight_dir=getattr(args, "flight_recorder", None),
-                      from_snapshot=getattr(args, "from_snapshot", None))
-    return result.rendered
 
 
 def _add_common_options(parser) -> None:
@@ -178,55 +144,52 @@ def _cmd_list(argv: List[str]) -> int:
 
 def _parse_engine_argv(prog: str, argv: List[str],
                        add_options: Callable = _add_common_options):
-    """Shared target/options parsing for the engine verbs
-    (``run``/``metrics``/``snapshot``)."""
+    """Shared ``<target> [options]`` parsing for the engine verbs
+    (``run``/``metrics``/``report``/``snapshot``); an experiment name
+    also takes that experiment's options, which ``--help`` lists."""
     from .exp.registry import experiment_names, get_experiment
     from .exp.spec import ExperimentSpec
 
-    base = argparse.ArgumentParser(
-        prog=prog,
-        description="Run a registered experiment or a saved spec JSON.")
-    base.add_argument("target",
-                      help="experiment name (see 'repro list') or a "
-                           "spec .json path")
-    add_options(base)
-    ns, rest = base.parse_known_args(argv)
-
-    if ns.target.endswith(".json") or os.path.exists(ns.target):
-        if rest:
-            base.error("spec-file runs take no experiment options "
-                       "(got %s); edit the spec instead" % " ".join(rest))
-        with open(ns.target) as fh:
+    common = argparse.ArgumentParser(add_help=False)
+    add_options(common)
+    if not argv or argv[0].startswith("-"):
+        usage = argparse.ArgumentParser(
+            prog=prog, parents=[common],
+            description="Run a registered experiment or a saved spec JSON.")
+        usage.add_argument("target",
+                           help="experiment name (see 'repro list') or a "
+                                "spec .json path; it comes first")
+        usage.parse_args(argv)
+        usage.error("the target must come before the options")
+    target = argv[0]
+    parser = argparse.ArgumentParser(prog="%s %s" % (prog, target),
+                                     parents=[common])
+    if target.endswith(".json") or os.path.exists(target):
+        ns = parser.parse_args(argv[1:])     # options live in the spec
+        with open(target) as fh:
             spec = ExperimentSpec.from_json(fh.read())
         try:
             experiment = get_experiment(spec.experiment)
         except KeyError as exc:
-            base.error(str(exc))
+            parser.error(str(exc))
     else:
         try:
-            experiment = get_experiment(ns.target)
+            experiment = get_experiment(target)
         except KeyError:
-            base.error("unknown experiment %r (have: %s)"
-                       % (ns.target, ", ".join(experiment_names())))
-        options = argparse.ArgumentParser(
-            prog="%s %s" % (prog, experiment.name))
+            parser.error("unknown experiment %r (have: %s)"
+                         % (target, ", ".join(experiment_names())))
+        parser.description = experiment.help
         for option in experiment.options:
-            option.add_to(options)
-        opts = options.parse_args(rest)
-        spec = experiment.build_spec(vars(opts))
+            option.add_to(parser)
+        ns = parser.parse_args(argv[1:])
+        spec = experiment.build_spec({option.dest: getattr(ns, option.dest)
+                                      for option in experiment.options})
     return experiment, spec, ns
 
 
 def _cmd_run(argv: List[str]) -> int:
     experiment, spec, ns = _parse_engine_argv("repro run", argv)
-    result = _execute(experiment, spec, workers=ns.workers, out=ns.out,
-                      journal=ns.journal,
-                      forkserver=not ns.no_forkserver,
-                      trace=ns.trace,
-                      sample_every=ns.sample_every,
-                      flight_dir=ns.flight_recorder,
-                      from_snapshot=ns.from_snapshot)
-    print(result.rendered)
+    print(_execute(experiment, spec, ns).rendered)
     return 0
 
 
@@ -320,13 +283,7 @@ def _cmd_metrics(argv: List[str]) -> int:
 
     experiment, spec, ns = _parse_engine_argv(
         "repro metrics", argv, add_options=_add_metrics_options)
-    result = _execute(experiment, spec, workers=ns.workers, out=ns.out,
-                      journal=ns.journal,
-                      forkserver=not ns.no_forkserver,
-                      telemetry=True, trace=ns.trace,
-                      sample_every=ns.sample_every,
-                      flight_dir=ns.flight_recorder,
-                      from_snapshot=ns.from_snapshot)
+    result = _execute(experiment, spec, ns, telemetry=True)
     _print_metrics(result.telemetry,
                    "%s (%d runs)" % (experiment.name, spec.runs),
                    ns.as_json)
@@ -361,14 +318,7 @@ def _cmd_report(argv: List[str]) -> int:
     if saved_doc is None:
         experiment, spec, ns = _parse_engine_argv(
             "repro report", argv, add_options=_add_metrics_options)
-        result = _execute(experiment, spec, workers=ns.workers,
-                          out=ns.out, journal=ns.journal,
-                          forkserver=not ns.no_forkserver,
-                          telemetry=True, trace=ns.trace,
-                          sample_every=ns.sample_every,
-                          flight_dir=ns.flight_recorder,
-                          from_snapshot=ns.from_snapshot)
-        saved_doc = result.to_doc()
+        saved_doc = _execute(experiment, spec, ns, telemetry=True).to_doc()
     report = campaign_report_doc(saved_doc)
     if ns.as_json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -418,45 +368,41 @@ def _cmd_topo(argv: List[str]) -> int:
     return 0
 
 
-def _legacy_parser() -> argparse.ArgumentParser:
-    from .exp.registry import all_experiments
+_USAGE = """\
+usage: repro <command> [options]
 
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Experiments from 'Low Overhead Fault Tolerant "
-                    "Networking in Myrinet' (DSN 2003)",
-        epilog="Engine verbs: 'repro list' shows every registered "
-               "experiment; 'repro run <name|spec.json> [options]' runs "
-               "one with --out/--journal/--trace support; 'repro "
-               "metrics <name|spec.json>' runs with telemetry on and "
-               "prints the aggregated metrics report ('--from "
-               "result.json' re-renders a saved one); 'repro report "
-               "<name|result.json>' prints the campaign-level report "
-               "(CDFs, SLO attribution); both take --json.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for experiment in all_experiments():
-        verb = sub.add_parser(experiment.name, help=experiment.help)
-        for option in experiment.options:
-            option.add_to(verb, legacy=True)
-        _add_common_options(verb)
-        verb.set_defaults(experiment=experiment)
-    return parser
+Experiments from 'Low Overhead Fault Tolerant Networking in Myrinet'
+(DSN 2003).
+
+commands:
+  list                        list the registered experiments
+  run <name|spec.json>        run one (--out, --journal, --trace, ...)
+  metrics <name|spec.json>    run with telemetry on and print the metrics
+                              report ('--from result.json' re-renders one)
+  report <name|result.json>   campaign-level report (CDFs, SLO attribution)
+  snapshot <name|spec.json>   checkpoint one run at a simulated instant
+  topo <shape>                summarize a fabric topology without booting
+
+'repro <command> --help' describes each command's options.
+"""
+
+_COMMANDS = {"list": _cmd_list, "run": _cmd_run, "metrics": _cmd_metrics,
+             "report": _cmd_report, "snapshot": _cmd_snapshot,
+             "topo": _cmd_topo}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "list":
-        return _cmd_list(argv[1:])
-    if argv and argv[0] == "run":
-        return _cmd_run(argv[1:])
-    if argv and argv[0] == "metrics":
-        return _cmd_metrics(argv[1:])
-    if argv and argv[0] == "report":
-        return _cmd_report(argv[1:])
-    if argv and argv[0] == "snapshot":
-        return _cmd_snapshot(argv[1:])
-    if argv and argv[0] == "topo":
-        return _cmd_topo(argv[1:])
-    args = _legacy_parser().parse_args(argv)
-    print(_run_registered(args.experiment, args))
-    return 0
+    if not argv or argv[0] in ("-h", "--help"):
+        print(_USAGE, end="", file=sys.stdout if argv else sys.stderr)
+        return 0 if argv else 2
+    command = _COMMANDS.get(argv[0])
+    if command is None:
+        from .exp.registry import experiment_names
+
+        hint = ("use 'repro run %s'" % argv[0]
+                if argv[0] in experiment_names() else "see 'repro --help'")
+        print("repro: unknown command %r; %s" % (argv[0], hint),
+              file=sys.stderr)
+        return 2
+    return command(argv[1:])

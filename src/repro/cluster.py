@@ -17,7 +17,7 @@ from .net.mapper import make_mapper
 from .sim import SeededRng, Simulator, Tracer
 
 __all__ = ["Node", "MyrinetCluster", "build_cluster",
-           "build_cluster_from_spec"]
+           "build_cluster_from_spec", "boot_run"]
 
 
 class Node:
@@ -250,3 +250,15 @@ def build_cluster_from_spec(spec, seed: int = 0,
         radix=getattr(spec, "radix", 0) or None,
         interpreted_nodes=list(spec.interpreted_nodes) or None,
         **overrides)
+
+
+def boot_run(config) -> MyrinetCluster:
+    """Boot the cluster a campaign run names: ``config.cluster``.
+
+    The shared pre-fault prefix of every campaign run.  It depends on
+    the cluster spec alone (the cluster's rng is seeded but never drawn
+    during boot), so all runs with an equal ``config.cluster`` can fork
+    off one booted cluster and resume exactly where a fresh per-run
+    boot would.
+    """
+    return build_cluster_from_spec(config.cluster, seed=config.seed)

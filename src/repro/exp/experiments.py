@@ -1,34 +1,29 @@
 """Every experiment of the evaluation, registered declaratively.
 
-Each ``register(Experiment(...))`` below replaces what used to be a
-hand-built CLI subcommand plus its own ad-hoc fan-out loop: the SWIFI
+Each ``register(Experiment(...))`` below declares one study: the SWIFI
 campaigns (Table 1, §5.2 effectiveness, fault surface), the netfault
-sweep, the GM-vs-FTGM metric and figure benchmarks (Tables 2/3,
-Figs. 4/5/7/8/9) and the perf microbenchmarks.  The shared machinery —
-spec expansion, multi-process fan-out, journaling/resume, manifests —
-lives in :mod:`repro.exp.runner`; this module only declares *what* each
+and closfault sweeps, the slo-chaos matrix, the GM-vs-FTGM metric and
+figure benchmarks (Tables 2/3, Figs. 4/5/7/8/9) and the perf
+microbenchmarks.  The shared machinery — spec expansion, multi-process
+fan-out, journaling/resume, manifests — lives in
+:mod:`repro.exp.runner`; this module only declares *what* each
 experiment runs and how its outcomes aggregate and render.
 
-All ``run_one`` functions are picklable module-level callables so every
-experiment parallelizes over :func:`repro.exp.runner.run_many`.
+The four campaigns register a ``resume`` and configs that carry their
+``cluster``; the registry derives their boot, boot family and
+``run_one`` (see :class:`repro.exp.registry.Experiment`).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterator, List, Tuple
 
 from ..faults.campaign import (
     CampaignResult,
     aggregate_effectiveness,
 )
-from ..faults.injector import (
-    InjectionConfig,
-    boot_injection,
-    injection_family,
-    resume_injection,
-    run_injection,
-)
+from ..faults.injector import InjectionConfig, resume_injection
 from ..faults.outcomes import InjectionOutcome
 from ..faults.surface import analyze_surface
 from ..load.chaos import (
@@ -36,10 +31,7 @@ from ..load.chaos import (
     SloChaosCampaignResult,
     SloChaosConfig,
     SloChaosOutcome,
-    boot_slo_chaos,
     resume_slo_chaos,
-    run_slo_chaos,
-    slo_chaos_family,
 )
 from ..load.profiles import PROFILE_NAMES
 from ..load.slo import SloSpec
@@ -48,20 +40,14 @@ from ..netfaults.campaign import (
     NetFaultCampaignResult,
     NetFaultConfig,
     NetFaultOutcome,
-    boot_netfault,
-    netfault_family,
     resume_netfault,
-    run_netfault_injection,
 )
 from ..netfaults.clos import (
+    CLOS_CELLS,
     CLOS_SCENARIOS,
-    ClosFaultCampaignResult,
     ClosFaultConfig,
-    boot_closfault,
-    closfault_family,
     cross_fabric_pairs,
     resume_closfault,
-    run_closfault_injection,
 )
 from ..workloads.allsize import BandwidthResult
 from ..workloads.pingpong import PingPongResult
@@ -92,27 +78,14 @@ def _identity(rendered: str) -> str:
     return rendered
 
 
-# -- checkpoint hooks ----------------------------------------------------------
-#
-# ``pause`` runs a booted run to a simulated instant and hands back a
-# PausedRun (the hook behind ``repro snapshot``).  Module-level defs,
-# like every other registered callable.
-
-
-def _injection_pause(state, config, at):
-    return resume_injection(state, config, pause_at=at)
-
-
-def _netfault_pause(state, config, at):
-    return resume_netfault(state, config, pause_at=at)
-
-
-def _closfault_pause(state, config, at):
-    return resume_closfault(state, config, pause_at=at)
-
-
-def _slo_chaos_pause(state, config, at):
-    return resume_slo_chaos(state, config, pause_at=at)
+def _scenario_runs(spec: ExperimentSpec
+                   ) -> Iterator[Tuple[int, int, ScenarioSpec]]:
+    """``(run_id, seed, scenario)`` of every run of a scenario matrix."""
+    run_id = 0
+    for scenario in spec.scenarios:
+        for _ in range(scenario.runs):
+            yield run_id, derive_run_seed(spec.seed, run_id), scenario
+            run_id += 1
 
 
 # -- SWIFI campaigns: table1 / effectiveness / surface -------------------------
@@ -144,12 +117,38 @@ def _swifi_spec(name: str, params: Dict[str, Any], *, flavor: str,
 
 
 def _swifi_expand(spec: ExperimentSpec) -> List[InjectionConfig]:
-    flavor = spec.param("flavor", "gm")
+    cluster = spec.scenarios[0].cluster
     messages = spec.param("messages", 16)
     return [InjectionConfig(run_id=run_id,
                             seed=derive_run_seed(spec.seed, run_id),
-                            flavor=flavor, messages=messages)
+                            cluster=cluster, messages=messages)
             for run_id in range(spec.runs)]
+
+
+def _register_swifi(name: str, help: str, *, flavor: str,
+                    default_runs: int, small_runs: int, default_seed: int,
+                    **hooks: Any) -> None:
+    """One SWIFI campaign: ``aggregate``/``render``/``summarize`` (and
+    ``progress_every``) come in ``hooks``; the rest is shared."""
+    register(Experiment(
+        name=name,
+        help=help,
+        build_spec=lambda params: _swifi_spec(
+            name, params, flavor=flavor, default_runs=default_runs,
+            small_runs=small_runs, default_seed=default_seed),
+        expand=_swifi_expand,
+        resume=resume_injection,
+        decode=typed_decoder(InjectionOutcome),
+        options=(Option("runs", "--runs", int, None,
+                        "injection runs (default %d; %d at --scale small)"
+                        % (default_runs, small_runs)),
+                 Option("seed", "--seed", int, default_seed,
+                        "campaign base seed"),
+                 Option("scale", "--scale", str, "full",
+                        "campaign size; 'small' trims the default runs "
+                        "for smoke tests (explicit --runs wins)",
+                        ("small", "full"))),
+        **hooks))
 
 
 def _campaign_aggregate(spec: ExperimentSpec,
@@ -161,63 +160,22 @@ def _campaign_summary(result: CampaignResult) -> Dict[str, Any]:
     return {"runs": result.runs, "counts": dict(result.counts)}
 
 
-register(Experiment(
-    name="table1",
-    help="fault-injection campaign",
-    build_spec=lambda params: _swifi_spec("table1", params, flavor="gm",
-                                          default_runs=150, small_runs=12,
-                                          default_seed=2003),
-    expand=_swifi_expand,
-    run_one=run_injection,
-    aggregate=_campaign_aggregate,
-    render=CampaignResult.render,
-    decode=typed_decoder(InjectionOutcome),
-    summarize=_campaign_summary,
-    options=(Option("runs", "--runs", int, None,
-                    "injection runs (default 150; 12 at --scale small)"),
-             Option("seed", "--seed", int, 2003, "campaign base seed"),
-             Option("scale", "--scale", str, "full",
-                    "campaign size; 'small' trims the default runs "
-                    "for smoke tests (explicit --runs wins)",
-                    ("small", "full"))),
-    progress_every=25,
-    progress_fmt="  ... %d/%d runs",
-    boot=boot_injection,
-    resume=resume_injection,
-    boot_family=injection_family,
-    pause=_injection_pause,
-))
+_register_swifi(
+    "table1", "fault-injection campaign", flavor="gm",
+    default_runs=150, small_runs=12, default_seed=2003,
+    aggregate=_campaign_aggregate, render=CampaignResult.render,
+    summarize=_campaign_summary, progress_every=25)
 
 
 def _effectiveness_aggregate(spec, outcomes):
     return aggregate_effectiveness(spec.runs, outcomes)
 
 
-register(Experiment(
-    name="effectiveness",
-    help="FTGM recovery coverage (section 5.2)",
-    build_spec=lambda params: _swifi_spec("effectiveness", params,
-                                          flavor="ftgm",
-                                          default_runs=80, small_runs=10,
-                                          default_seed=7001),
-    expand=_swifi_expand,
-    run_one=run_injection,
+_register_swifi(
+    "effectiveness", "FTGM recovery coverage (section 5.2)", flavor="ftgm",
+    default_runs=80, small_runs=10, default_seed=7001,
     aggregate=_effectiveness_aggregate,
-    render=lambda result: result.render(),
-    decode=typed_decoder(InjectionOutcome),
-    summarize=asdict,
-    options=(Option("runs", "--runs", int, None,
-                    "injection runs (default 80; 10 at --scale small)"),
-             Option("seed", "--seed", int, 7001, "campaign base seed"),
-             Option("scale", "--scale", str, "full",
-                    "campaign size; 'small' trims the default runs "
-                    "for smoke tests (explicit --runs wins)",
-                    ("small", "full"))),
-    boot=boot_injection,
-    resume=resume_injection,
-    boot_family=injection_family,
-    pause=_injection_pause,
-))
+    render=lambda result: result.render(), summarize=asdict)
 
 
 def _surface_aggregate(spec, outcomes):
@@ -236,30 +194,11 @@ def _surface_summary(aggregate) -> Dict[str, Any]:
                        for name, row in report.table.items()}}
 
 
-register(Experiment(
-    name="surface",
-    help="fault outcomes by corrupted instruction field",
-    build_spec=lambda params: _swifi_spec("surface", params, flavor="gm",
-                                          default_runs=150, small_runs=12,
-                                          default_seed=6007),
-    expand=_swifi_expand,
-    run_one=run_injection,
-    aggregate=_surface_aggregate,
-    render=_surface_render,
-    decode=typed_decoder(InjectionOutcome),
-    summarize=_surface_summary,
-    options=(Option("runs", "--runs", int, None,
-                    "injection runs (default 150; 12 at --scale small)"),
-             Option("seed", "--seed", int, 6007, "campaign base seed"),
-             Option("scale", "--scale", str, "full",
-                    "campaign size; 'small' trims the default runs "
-                    "for smoke tests (explicit --runs wins)",
-                    ("small", "full"))),
-    boot=boot_injection,
-    resume=resume_injection,
-    boot_family=injection_family,
-    pause=_injection_pause,
-))
+_register_swifi(
+    "surface", "fault outcomes by corrupted instruction field",
+    flavor="gm", default_runs=150, small_runs=12, default_seed=6007,
+    aggregate=_surface_aggregate, render=_surface_render,
+    summarize=_surface_summary)
 
 
 # -- netfaults: link/switch fault sweep ----------------------------------------
@@ -285,29 +224,17 @@ def _netfaults_spec(params: Dict[str, Any]) -> ExperimentSpec:
             for scenario in scenarios))
 
 
-def _netfaults_expand(spec: ExperimentSpec) -> List[NetFaultConfig]:
-    configs: List[NetFaultConfig] = []
-    run_id = 0
-    for scenario in spec.scenarios:
-        for _ in range(scenario.runs):
-            configs.append(NetFaultConfig(
-                run_id=run_id,
-                seed=derive_run_seed(spec.seed, run_id),
-                scenario=scenario.fault.kind,
-                n_nodes=scenario.cluster.n_nodes,
-                topology=scenario.cluster.topology,
-                messages=scenario.workload.messages))
-            run_id += 1
-    return configs
-
-
-def _netfaults_aggregate(spec, outcomes) -> NetFaultCampaignResult:
-    return NetFaultCampaignResult(spec.seed, outcomes)
-
-
 def _netfaults_summary(result: NetFaultCampaignResult) -> Dict[str, Any]:
     return {"counts": {scenario: dict(row)
                        for scenario, row in result.counts.items()}}
+
+
+def _netfaults_expand(spec: ExperimentSpec) -> List[NetFaultConfig]:
+    return [NetFaultConfig(run_id=run_id, seed=seed,
+                           scenario=scenario.fault.kind,
+                           cluster=scenario.cluster,
+                           messages=scenario.workload.messages)
+            for run_id, seed, scenario in _scenario_runs(spec)]
 
 
 register(Experiment(
@@ -315,24 +242,19 @@ register(Experiment(
     help="link/switch fault campaign with reroute recovery",
     build_spec=_netfaults_spec,
     expand=_netfaults_expand,
-    run_one=run_netfault_injection,
-    aggregate=_netfaults_aggregate,
+    resume=resume_netfault,
+    aggregate=lambda spec, outcomes: NetFaultCampaignResult(spec.seed,
+                                                            outcomes),
     render=NetFaultCampaignResult.render,
     decode=typed_decoder(NetFaultOutcome),
     summarize=_netfaults_summary,
     options=(Option("runs_per_scenario", "--runs-per-scenario", int, 5,
-                    "runs per scenario (default 5)",
-                    legacy_flag="--runs"),
+                    "runs per scenario (default 5)"),
              Option("seed", "--seed", int, 2003, "campaign base seed"),
              Option("nodes", "--nodes", int, 4, "cluster size"),
              Option("topology", "--topology", str, "ring",
                     "fabric shape", choices=("ring", "tree"))),
     progress_every=4,
-    progress_fmt="  ... %d runs done",
-    boot=boot_netfault,
-    resume=resume_netfault,
-    boot_family=netfault_family,
-    pause=_netfault_pause,
 ))
 
 
@@ -372,37 +294,23 @@ def _closfault_spec(params: Dict[str, Any]) -> ExperimentSpec:
 
 def _closfault_expand(spec: ExperimentSpec) -> List[ClosFaultConfig]:
     configs: List[ClosFaultConfig] = []
-    run_id = 0
-    for scenario in spec.scenarios:
-        flavor = scenario.name.split("/")[1]
+    for run_id, seed, scenario in _scenario_runs(spec):
         cluster = scenario.cluster
         pairs = cross_fabric_pairs(
             cluster.n_nodes, topology=cluster.topology,
             radix=cluster.radix or 8, n_spines=cluster.n_switches or 2,
             n_pairs=thaw_params(scenario.workload.params).get("pairs", 2))
-        for _ in range(scenario.runs):
-            configs.append(ClosFaultConfig(
-                run_id=run_id,
-                seed=derive_run_seed(spec.seed, run_id),
-                scenario=scenario.name,
-                flavor=flavor,
-                n_nodes=cluster.n_nodes,
-                topology=cluster.topology,
-                n_switches=cluster.n_switches,
-                radix=cluster.radix,
-                pairs=tuple(pairs),
-                messages=scenario.workload.messages))
-            run_id += 1
+        configs.append(ClosFaultConfig(
+            run_id=run_id, seed=seed, scenario=scenario.name,
+            cluster=cluster, pairs=tuple(pairs),
+            messages=scenario.workload.messages))
     return configs
 
 
-def _closfault_aggregate(spec, outcomes) -> ClosFaultCampaignResult:
-    return ClosFaultCampaignResult(spec.seed, outcomes)
-
-
-def _closfault_summary(result: ClosFaultCampaignResult) -> Dict[str, Any]:
-    return {"counts": {cell: dict(row)
-                       for cell, row in result.counts.items()}}
+def _closfault_aggregate(spec, outcomes) -> NetFaultCampaignResult:
+    return NetFaultCampaignResult(spec.seed, outcomes,
+                                  title="Closfault campaign",
+                                  order=CLOS_CELLS)
 
 
 register(Experiment(
@@ -411,14 +319,13 @@ register(Experiment(
          "FT on vs off",
     build_spec=_closfault_spec,
     expand=_closfault_expand,
-    run_one=run_closfault_injection,
+    resume=resume_closfault,
     aggregate=_closfault_aggregate,
-    render=ClosFaultCampaignResult.render,
+    render=NetFaultCampaignResult.render,
     decode=typed_decoder(NetFaultOutcome),
-    summarize=_closfault_summary,
+    summarize=_netfaults_summary,
     options=(Option("runs_per_cell", "--runs-per-cell", int, 1,
-                    "runs per scenario x flavor cell (default 1)",
-                    legacy_flag="--runs"),
+                    "runs per scenario x flavor cell (default 1)"),
              Option("seed", "--seed", int, 2003, "campaign base seed"),
              Option("nodes", "--nodes", int, 16, "cluster size"),
              Option("radix", "--radix", int, 4,
@@ -433,11 +340,6 @@ register(Experiment(
                     "grid size; 'small' keeps rack-loss/ftgm only "
                     "(explicit options win)", ("small", "full"))),
     progress_every=2,
-    progress_fmt="  ... %d/%d runs",
-    boot=boot_closfault,
-    resume=resume_closfault,
-    boot_family=closfault_family,
-    pause=_closfault_pause,
 ))
 
 
@@ -482,24 +384,16 @@ def _slo_chaos_spec(params: Dict[str, Any]) -> ExperimentSpec:
 def _slo_chaos_expand(spec: ExperimentSpec) -> List[SloChaosConfig]:
     slo = SloSpec.from_dict(spec.param("slo", {}))
     configs: List[SloChaosConfig] = []
-    run_id = 0
-    for scenario in spec.scenarios:
+    for run_id, seed, scenario in _scenario_runs(spec):
         load = thaw_params(scenario.workload.params)
-        for _ in range(scenario.runs):
-            configs.append(SloChaosConfig(
-                run_id=run_id,
-                seed=derive_run_seed(spec.seed, run_id),
-                scenario=scenario.fault.kind,
-                flavor=scenario.cluster.flavor,
-                n_nodes=scenario.cluster.n_nodes,
-                topology=scenario.cluster.topology,
-                n_switches=scenario.cluster.n_switches,
-                clients=load.get("clients", 8),
-                profile=load.get("profile", "staged-ramp"),
-                peak_rate=load.get("peak_rate", 1_500.0),
-                duration_us=load.get("duration_us", 400_000.0),
-                slo=slo))
-            run_id += 1
+        configs.append(SloChaosConfig(
+            run_id=run_id, seed=seed, scenario=scenario.fault.kind,
+            cluster=scenario.cluster,
+            clients=load.get("clients", 8),
+            profile=load.get("profile", "staged-ramp"),
+            peak_rate=load.get("peak_rate", 1_500.0),
+            duration_us=load.get("duration_us", 400_000.0),
+            slo=slo))
     return configs
 
 
@@ -518,7 +412,7 @@ register(Experiment(
     help="SLO-graded chaos: netfaults over open-loop load, FT on vs off",
     build_spec=_slo_chaos_spec,
     expand=_slo_chaos_expand,
-    run_one=run_slo_chaos,
+    resume=resume_slo_chaos,
     aggregate=_slo_chaos_aggregate,
     render=SloChaosCampaignResult.render,
     decode=typed_decoder(SloChaosOutcome),
@@ -544,11 +438,6 @@ register(Experiment(
                     "for smoke tests (explicit options win)",
                     ("small", "full"))),
     progress_every=2,
-    progress_fmt="  ... %d/%d runs",
-    boot=boot_slo_chaos,
-    resume=resume_slo_chaos,
-    boot_family=slo_chaos_family,
-    pause=_slo_chaos_pause,
 ))
 
 

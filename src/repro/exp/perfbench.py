@@ -166,19 +166,23 @@ def bench_lanai_interpreter(repeats: int = 3) -> dict:
 
 def bench_campaign(runs: int = 200, workers: int = 1, seed: int = 2003,
                    messages: int = 16) -> dict:
-    """Wall clock of a Table 1 campaign (the paper-scale workload)."""
-    from ..faults import run_campaign
+    """Wall clock of a Table 1 campaign (the paper-scale workload) on
+    the no-fork-server path its ``BENCH_perf.json`` entries measured
+    (in-process at ``workers=1``)."""
+    from .registry import get_experiment
+    from .runner import run_experiment
 
+    spec = get_experiment("table1").build_spec(
+        {"runs": runs, "seed": seed, "messages": messages})
     t0 = time.perf_counter()
-    result = run_campaign(runs=runs, seed=seed, messages=messages,
-                          workers=workers)
+    result = run_experiment(spec, workers=workers, forkserver=False)
     wall = time.perf_counter() - t0
     return {
         "runs": runs,
         "workers": workers,
         "wall_s": round(wall, 3),
         "runs_per_sec": round(runs / wall, 3),
-        "counts": dict(result.counts),
+        "counts": result.summary["counts"],
     }
 
 

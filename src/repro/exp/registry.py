@@ -1,21 +1,22 @@
-"""Named experiments: the registry behind every CLI verb.
+"""Named experiments: the registry behind ``repro run``.
 
 A registered :class:`Experiment` bundles everything the engine needs to
 run one of the paper's studies end to end: how to build a spec from CLI
 parameters, how to expand a spec into hermetic per-run configs, the
-picklable per-run function, aggregation/rendering of the outcome list,
-the outcome decoder for journals and result files, and the CLI option
-declarations that make each verb a thin registration instead of a
-hand-built subcommand.
+per-run function, aggregation/rendering of the outcome list, the
+outcome decoder for journals and result files, and the CLI option
+declarations that make each experiment a thin registration instead of
+a hand-built subcommand.
 
-``repro list`` prints this registry; ``repro run <name>`` and every
-legacy verb (``repro table1``, ``repro netfaults``, ...) resolve
-through it.
+``repro list`` prints this registry; ``repro run <name>`` (and
+``metrics``/``report``/``snapshot``) resolve through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .spec import ExperimentSpec
@@ -26,10 +27,7 @@ __all__ = ["Option", "Experiment", "register", "get_experiment",
 
 @dataclass(frozen=True)
 class Option:
-    """One CLI option of an experiment, shared by ``repro run <name>``
-    and the experiment's legacy verb (which may use an older flag
-    spelling, e.g. netfaults' historic ``--runs`` for
-    ``--runs-per-scenario``)."""
+    """One CLI option of an experiment (``repro run <name> --flag``)."""
 
     dest: str
     flag: str
@@ -37,11 +35,8 @@ class Option:
     default: Any = None
     help: str = ""
     choices: Optional[Tuple[str, ...]] = None
-    legacy_flag: Optional[str] = None
 
-    def add_to(self, parser, legacy: bool = False) -> None:
-        flag = (self.legacy_flag if legacy and self.legacy_flag
-                else self.flag)
+    def add_to(self, parser) -> None:
         kwargs: Dict[str, Any] = {"dest": self.dest,
                                   "default": self.default,
                                   "help": self.help}
@@ -51,37 +46,59 @@ class Option:
             kwargs["type"] = self.type
         if self.choices:
             kwargs["choices"] = list(self.choices)
-        parser.add_argument(flag, **kwargs)
+        parser.add_argument(self.flag, **kwargs)
+
+
+def _boot_and_resume(boot, resume, config):
+    return resume(boot(config), config)
 
 
 @dataclass
 class Experiment:
     """One registered experiment; see module docstring for the fields'
-    roles in the engine."""
+    roles in the engine.
+
+    A campaign registers ``resume`` instead of ``run_one``; that is the
+    whole campaign protocol.  Its configs carry the cluster they run on
+    as ``config.cluster`` (a :class:`~repro.exp.spec.ClusterSpec`), and
+    ``resume(cluster, config, pause_at=None)`` injects, observes and
+    classifies on the booted cluster, or with ``pause_at`` stops at that
+    simulated instant and returns a :class:`~repro.ckpt.pause.PausedRun`
+    (the hook behind ``repro snapshot``).  The rest is derived:
+
+    * ``boot`` is :func:`repro.cluster.boot_run`, the seed-independent
+      shared prefix of a run;
+    * ``boot_family`` is ``config.cluster``: runs with equal clusters
+      share one boot on the fork-server;
+    * ``run_one`` is ``resume(boot(config), config)``.
+
+    Experiments with no ``resume`` register ``run_one`` and leave
+    ``boot`` and ``boot_family`` None.
+    """
 
     name: str
     help: str
     build_spec: Callable[[Dict[str, Any]], ExperimentSpec]
     expand: Callable[[ExperimentSpec], List[Any]]
-    run_one: Callable[[Any], Any]
     aggregate: Callable[[ExperimentSpec, List[Any]], Any]
     render: Callable[[Any], str]
+    run_one: Optional[Callable[[Any], Any]] = None
+    resume: Optional[Callable[..., Any]] = None
     decode: Optional[Callable[[Any], Any]] = None
     summarize: Optional[Callable[[Any], Dict[str, Any]]] = None
     options: Tuple[Option, ...] = ()
     progress_every: int = 0           # 0 = no progress lines on stderr
-    progress_fmt: str = "  ... %d/%d runs"
-    # Fork-server support (optional): the seed-independent shared boot
-    # prefix of a run and its continuation.  ``run_one`` must equal
-    # ``resume(boot(config), config)`` exactly; ``boot_family`` groups
-    # configs that share one boot (default: all of them).
-    boot: Optional[Callable[[Any], Any]] = None
-    resume: Optional[Callable[[Any, Any], Any]] = None
-    boot_family: Optional[Callable[[Any], Any]] = None
-    # Checkpoint support (optional): ``pause(state, config, at)`` runs a
-    # booted run up to simulated time ``at`` and returns a
-    # ``repro.ckpt.PausedRun`` — the hook behind ``repro snapshot``.
-    pause: Optional[Callable[[Any, Any, float], Any]] = None
+    boot: Optional[Callable[[Any], Any]] = field(default=None, init=False)
+    boot_family: Optional[Callable[[Any], Any]] = field(default=None,
+                                                        init=False)
+
+    def __post_init__(self) -> None:
+        if self.resume is not None:
+            from ..cluster import boot_run
+
+            self.boot = boot_run
+            self.boot_family = attrgetter("cluster")
+            self.run_one = partial(_boot_and_resume, boot_run, self.resume)
 
 
 _REGISTRY: Dict[str, Experiment] = {}

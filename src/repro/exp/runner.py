@@ -7,10 +7,10 @@ reported as **monotonic completed-count ticks** — ``1, 2, ..., N``
 exactly once each — under ``workers=1`` and ``workers>1`` alike.
 There is one multi-process mechanism, the **fork-server**: a server
 process boots once per scenario family and each run is an ``os.fork()``
-copy-on-write child.  Experiments that declare a :class:`ForkBoot` (a
-seed-independent shared boot prefix plus a per-run resume) amortize
-identical cluster bring-up across hundreds of runs that way; a plain
-runner rides the same server through a null boot.  Either is
+copy-on-write child.  Campaigns, whose registered ``resume`` gives
+them a :class:`ForkBoot` (a seed-independent shared boot prefix plus a
+per-run resume), amortize identical cluster bring-up across hundreds of
+runs that way; a plain runner rides the same server through a null boot.  Either is
 byte-identical to running every config in-process.
 
 :func:`run_experiment` drives a whole declarative experiment: expand the
@@ -576,11 +576,9 @@ def run_experiment(spec: ExperimentSpec, *, workers: int = 1,
             resume = partial(_telemetry_scope, experiment.resume,
                              telemetry, trace, sample_every, flight_dir)
     fork_boot = None
-    if forkserver and experiment.boot is not None \
-            and experiment.resume is not None:
-        fork_boot = ForkBoot(family=experiment.boot_family or (lambda c: 0),
-                             boot=experiment.boot,
-                             resume=resume)
+    if forkserver and experiment.resume is not None:
+        fork_boot = ForkBoot(family=experiment.boot_family,
+                             boot=experiment.boot, resume=resume)
     completed: Dict[int, Any] = {}
     journal: Optional[Journal] = None
     if journal_path is not None:

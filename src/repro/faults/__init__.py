@@ -5,11 +5,9 @@ from .campaign import (
     CampaignResult,
     EffectivenessResult,
     aggregate_effectiveness,
-    run_campaign,
-    run_effectiveness_study,
 )
 from .checkpoint import DEFAULT_STATE_BYTES, CheckpointDaemon
-from .injector import InjectionConfig, run_injection
+from .injector import InjectionConfig
 from .naive import naive_reload
 from .outcomes import CATEGORY_ORDER, Category, InjectionOutcome, classify
 from .reference import (
@@ -35,7 +33,4 @@ __all__ = [
     "aggregate_effectiveness",
     "classify",
     "naive_reload",
-    "run_campaign",
-    "run_effectiveness_study",
-    "run_injection",
 ]

@@ -1,32 +1,23 @@
-"""Fault-injection campaigns: Table 1 and the §5.2 effectiveness study.
+"""Fault-injection campaign aggregates: Table 1 and the §5.2 study.
 
-Every injection run builds its own :class:`~repro.sim.Simulator` from its
-own seed and shares nothing with its siblings, so campaigns are
-embarrassingly parallel: pass ``workers=N`` to fan runs out over forked
-worker processes.  ``workers=1`` (the default) keeps the in-process
-serial path.  Either way the outcome list is ordered by ``run_id`` and
-every run's result depends only on its config — a parallel campaign is
-byte-identical to a serial one.
-
-The fan-out itself lives in :func:`repro.exp.runner.run_many`, the
-experiment engine's shared runner; these campaign entry points are
-also registered as the ``table1`` and ``effectiveness`` experiments
-(``repro run table1``), which adds journaling/resume and result
-manifests on top of the same runs.
+The campaigns themselves are the registered ``table1``,
+``effectiveness`` and ``surface`` experiments (``repro run table1``):
+every run builds its own simulator from its own seed, so the engine
+fans them out over :func:`repro.exp.runner.run_experiment` and a
+parallel campaign is byte-identical to a serial one.  This module
+folds their outcome lists into the tables the paper reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
-from ..exp.runner import derive_run_seed, run_many
-from .injector import InjectionConfig, run_injection
 from .outcomes import CATEGORY_ORDER, InjectionOutcome, tabulate
 from .reference import IYER_TABLE1, PAPER_TABLE1
 
-__all__ = ["CampaignResult", "run_campaign", "EffectivenessResult",
-           "run_effectiveness_study", "aggregate_effectiveness"]
+__all__ = ["CampaignResult", "EffectivenessResult",
+           "aggregate_effectiveness"]
 
 
 @dataclass
@@ -62,25 +53,6 @@ class CampaignResult:
         return "\n".join(lines)
 
 
-def run_campaign(runs: int = 200, seed: int = 2003, flavor: str = "gm",
-                 messages: int = 16,
-                 progress: Optional[Callable[[int], None]] = None,
-                 workers: int = 1) -> CampaignResult:
-    """Flip one random ``send_chunk`` bit per run; classify each run.
-
-    ``workers > 1`` fans the runs out over forked worker processes; the
-    result is identical to the serial campaign (same outcomes, same
-    order).
-    """
-    configs = [InjectionConfig(run_id=run_id,
-                               seed=derive_run_seed(seed, run_id),
-                               flavor=flavor, messages=messages)
-               for run_id in range(runs)]
-    return CampaignResult(runs, run_many(configs, run_injection,
-                                         workers=workers,
-                                         progress=progress))
-
-
 @dataclass
 class EffectivenessResult:
     """§5.2: detection and recovery coverage over the hang population."""
@@ -106,26 +78,6 @@ class EffectivenessResult:
                 % (self.runs, self.hangs, self.detected,
                    100 * self.detection_rate, self.recovered,
                    100 * self.recovery_rate))
-
-
-def run_effectiveness_study(runs: int = 120, seed: int = 42,
-                            messages: int = 16,
-                            progress: Optional[Callable[[int], None]] = None,
-                            workers: int = 1) -> EffectivenessResult:
-    """Repeat the injection campaign under FTGM (§5.2).
-
-    Counts, over the runs whose fault hung the interface, how many hangs
-    the watchdog detected and how many recovered to exactly-once
-    completion of the workload.  ``workers > 1`` parallelizes the runs;
-    the aggregate is identical to the serial study.
-    """
-    configs = [InjectionConfig(run_id=run_id,
-                               seed=derive_run_seed(seed, run_id),
-                               flavor="ftgm", messages=messages)
-               for run_id in range(runs)]
-    return aggregate_effectiveness(runs, run_many(configs, run_injection,
-                                                  workers=workers,
-                                                  progress=progress))
 
 
 def aggregate_effectiveness(runs: int,

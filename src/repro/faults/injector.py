@@ -21,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..cluster import build_cluster
+from ..ckpt.pause import drive_run
+from ..cluster import boot_run
+from ..exp.spec import ClusterSpec
 from ..obs.harvest import harvest_cluster
 from ..payload import Payload
 from ..sim import SeededRng
@@ -32,8 +34,15 @@ try:
 except ImportError:                      # pragma: no cover
     _np = None
 
-__all__ = ["InjectionConfig", "run_injection", "boot_injection",
-           "resume_injection", "injection_family", "classify_deliveries"]
+__all__ = ["SWIFI_CLUSTER", "InjectionConfig", "resume_injection",
+           "classify_deliveries"]
+
+#: The SWIFI testbed: two nodes on one switch, node 0's MCP running
+#: ``send_chunk`` on the LANai interpreter (the flip target).
+SWIFI_CLUSTER = ClusterSpec(n_nodes=2, interpreted_nodes=(0,))
+
+#: The shared campaign boot under the name the benchmark suite imports.
+boot_injection = boot_run
 
 
 def classify_deliveries(received, expected) -> "tuple[int, int]":
@@ -78,7 +87,7 @@ class InjectionConfig:
 
     run_id: int
     seed: int
-    flavor: str = "gm"          # 'ftgm' for the §5.2 effectiveness study
+    cluster: ClusterSpec = SWIFI_CLUSTER   # flavor 'ftgm' for §5.2
     messages: int = 16          # stream length during which the flip lands
     message_bytes: int = 256
     inject_after_messages: Optional[int] = None  # None: random position
@@ -86,33 +95,9 @@ class InjectionConfig:
     observe_horizon_us: float = 12_000_000.0
 
 
-def injection_family(config: InjectionConfig):
-    """Key of the boot all runs with this config's shape can share."""
-    return (config.flavor,)
-
-
-def boot_injection(config: InjectionConfig):
-    """Build and boot the shared pre-fault prefix of an injection run.
-
-    Everything here is independent of the per-run seed (the cluster's
-    rng is constructed but never drawn during boot), so a fork-server
-    can boot once per :func:`injection_family` and fork a copy-on-write
-    child per run — :func:`resume_injection` picks up from the exact
-    state a fresh per-run boot would produce.
-    """
-    return build_cluster(2, flavor=config.flavor,
-                         interpreted_nodes=[0],
-                         seed=config.seed)
-
-
-def run_injection(config: InjectionConfig) -> InjectionOutcome:
-    """Run one fault-injection experiment and classify the outcome."""
-    return resume_injection(boot_injection(config), config)
-
-
 def resume_injection(cluster, config: InjectionConfig,
                      pause_at: Optional[float] = None):
-    """Inject, observe and classify on an already-booted cluster.
+    """Inject, observe and classify on the cluster ``boot_run`` booted.
 
     ``pause_at`` parks the run at a simulated instant and returns a
     :class:`repro.ckpt.PausedRun` (snapshot/time-travel) instead.
@@ -163,6 +148,8 @@ def resume_injection(cluster, config: InjectionConfig,
                 yield from port.send(expected[i], 1, 2, callback=make_cb(i),
                                      context=i)
             except Exception:
+                # Not only GmError: a host crash interrupts the sender
+                # inside send() with HostCrashed.
                 state["sender_alive"] = False
                 return
             # Poll so callbacks/FAULT_DETECTED are serviced; pace the
@@ -201,20 +188,7 @@ def resume_injection(cluster, config: InjectionConfig,
         all_received = len(state["recv"]) >= config.messages
         return resolved and all_received
 
-    # Advance in 1 ms slices through run()'s inlined event loop and poll
-    # _done() once per slice instead of once per event — every outcome
-    # field is frozen by the time _done() turns true (all sends resolved,
-    # all receives recorded, no further activity), so observing up to a
-    # slice past that instant classifies identically.
-    def drive(limit: float) -> None:
-        while not _done():
-            next_at = sim.peek()
-            if next_at > limit:
-                break
-            sim.run(until=min(next_at + 1_000.0, limit))
-
     def finish():
-        drive(config.observe_horizon_us)
         # Small grace period so trailing events (late ACKs) settle.
         sim.run(until=min(sim.now + 10_000.0, config.observe_horizon_us))
 
@@ -242,7 +216,7 @@ def resume_injection(cluster, config: InjectionConfig,
             workload_completed=(state["send_done"] == config.messages
                                 and len(state["recv"]) == config.messages),
         )
-        if config.flavor == "ftgm":
+        if config.cluster.flavor == "ftgm":
             driver = target.driver
             outcome.watchdog_fired = driver.fatal_interrupts > 0
             outcome.recovery_attempted = bool(driver.ftd.recoveries)
@@ -256,10 +230,6 @@ def resume_injection(cluster, config: InjectionConfig,
         harvest_cluster(cluster, fault_at=state["injected_at"])
         return outcome.finalize()
 
-    if pause_at is not None:
-        limit = min(pause_at, config.observe_horizon_us)
-        drive(limit)
-        sim.run(until=limit)
-        from ..ckpt.pause import PausedRun
-        return PausedRun(cluster, config, None, finish)
-    return finish()
+    return drive_run(cluster, config, finish,
+                     horizon=config.observe_horizon_us, slice_us=1_000.0,
+                     done=_done, pause_at=pause_at)

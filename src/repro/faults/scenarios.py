@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cluster import build_cluster
+from ..errors import GmError
 from ..payload import Payload
 from .naive import naive_reload
 
@@ -131,7 +132,7 @@ def run_figure5(flavor: str) -> Fig5Result:
             yield from sport.send_and_wait(
                 Payload.from_bytes(b"precious"), 1, 2)
             state["send_ok"] = True
-        except Exception:
+        except GmError:
             state["send_ok"] = False
 
     cluster[1].host.spawn(receiver(), "r")

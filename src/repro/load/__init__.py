@@ -26,7 +26,6 @@ from .chaos import (
     SloChaosCampaignResult,
     SloChaosConfig,
     SloChaosOutcome,
-    run_slo_chaos,
 )
 from .generator import LoadConfig, LoadRunResult, Schedule, SendOp, build_schedule, run_load
 from .profiles import PROFILE_NAMES, LoadProfile, Stage, make_profile
@@ -51,5 +50,4 @@ __all__ = [
     "SloChaosConfig",
     "SloChaosOutcome",
     "SloChaosCampaignResult",
-    "run_slo_chaos",
 ]

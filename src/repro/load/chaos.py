@@ -23,13 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..cluster import build_cluster
+from ..ckpt.pause import drive_run
+from ..exp.spec import ClusterSpec
 from ..netfaults.campaign import NET_SCENARIOS, inject_scenario
 from ..netfaults.detector import arm_detectors
 from ..netfaults.plane import NetworkFaultPlane
 from ..obs.harvest import harvest_cluster, harvest_load
 from ..sim import SeededRng
-from .generator import LoadConfig, build_schedule, run_load
+from .generator import LoadConfig, build_schedule, start_load
 from .slo import SloSpec
 from .verdict import SloVerdict, grade_stages, observe_stages
 
@@ -38,10 +39,7 @@ __all__ = [
     "SloChaosConfig",
     "SloChaosOutcome",
     "SloChaosCampaignResult",
-    "boot_slo_chaos",
     "resume_slo_chaos",
-    "slo_chaos_family",
-    "run_slo_chaos",
 ]
 
 #: The sweep: a fault-free control cell plus every netfaults scenario.
@@ -55,10 +53,7 @@ class SloChaosConfig:
     run_id: int
     seed: int
     scenario: str                    # "baseline" or one of NET_SCENARIOS
-    flavor: str                      # "gm" | "ftgm"
-    n_nodes: int = 4
-    topology: str = "ring"
-    n_switches: int = 2
+    cluster: ClusterSpec             # flavor "gm" | "ftgm"
     clients: int = 8
     profile: str = "staged-ramp"
     peak_rate: float = 1_500.0
@@ -69,8 +64,12 @@ class SloChaosConfig:
     corrupt_rate: float = 0.25
     slo: SloSpec = field(default_factory=SloSpec)
 
+    @property
+    def flavor(self) -> str:
+        return self.cluster.flavor
+
     def load_config(self) -> LoadConfig:
-        return LoadConfig(seed=self.seed, n_nodes=self.n_nodes,
+        return LoadConfig(seed=self.seed, n_nodes=self.cluster.n_nodes,
                           clients=self.clients, profile=self.profile,
                           peak_rate=self.peak_rate,
                           duration_us=self.duration_us,
@@ -101,26 +100,8 @@ class SloChaosOutcome:
         return "%s/%s" % (self.scenario, self.flavor)
 
 
-def slo_chaos_family(config: SloChaosConfig):
-    """Fork-server boot family: all runs sharing a fabric + flavor."""
-    return (config.flavor, config.n_nodes, config.topology,
-            config.n_switches)
-
-
-def boot_slo_chaos(config: SloChaosConfig):
-    """Build and boot the shared pre-fault prefix (seed-independent)."""
-    return build_cluster(config.n_nodes, flavor=config.flavor,
-                         seed=config.seed, topology=config.topology,
-                         n_switches=config.n_switches)
-
-
-def run_slo_chaos(config: SloChaosConfig) -> SloChaosOutcome:
-    """Run one SLO-graded chaos cell from scratch."""
-    return resume_slo_chaos(boot_slo_chaos(config), config)
-
-
 def resume_slo_chaos(cluster, config: SloChaosConfig, pause_at=None):
-    """Overlay fault + load on a booted cluster, grade against the SLO.
+    """Overlay fault + load on the ``boot_run`` cluster, grade the run.
 
     ``pause_at`` parks the run at a simulated instant and returns a
     :class:`repro.ckpt.PausedRun` instead of an outcome (snapshot /
@@ -140,7 +121,6 @@ def resume_slo_chaos(cluster, config: SloChaosConfig, pause_at=None):
         fault_at = config.fault_frac * schedule.profile.total_duration_us
         inject_scenario(plane, cluster, rng.spawn("target"),
                         sim.now + fault_at, config.scenario,
-                        n_nodes=config.n_nodes,
                         flap_down_us=config.flap_down_us,
                         corrupt_rate=config.corrupt_rate)
     if config.flavor == "ftgm":
@@ -174,14 +154,11 @@ def resume_slo_chaos(cluster, config: SloChaosConfig, pause_at=None):
             verdict=verdict,
         )
 
-    if pause_at is not None:
-        _partial, finish_load = run_load(cluster, load_config, schedule,
-                                         pause_at=pause_at)
-        from ..ckpt.pause import PausedRun
-        extras = {"plane": plane} if plane is not None else None
-        return PausedRun(cluster, config, extras,
-                         lambda: grade(finish_load()))
-    return grade(run_load(cluster, load_config, schedule))
+    result = start_load(cluster, load_config, schedule)
+    return drive_run(cluster, config, lambda: grade(result),
+                     horizon=result.horizon, slice_us=10_000.0,
+                     pause_at=pause_at,
+                     extras={"plane": plane} if plane is not None else None)
 
 
 # -- the campaign --------------------------------------------------------------

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..ckpt.pause import drive_run
 from ..errors import GmError, GmNoTokens
 from ..payload import Payload
 from ..sim import SeededRng
@@ -44,6 +45,7 @@ __all__ = [
     "Schedule",
     "LoadRunResult",
     "build_schedule",
+    "start_load",
     "run_load",
 ]
 
@@ -267,22 +269,16 @@ class LoadRunResult:
         return at - (self.started_at + op.at_us)
 
 
-def run_load(cluster, config: LoadConfig,
-             schedule: Optional[Schedule] = None,
-             pause_at: Optional[float] = None):
-    """Drive one load schedule against a booted cluster.
+def start_load(cluster, config: LoadConfig,
+               schedule: Optional[Schedule] = None) -> LoadRunResult:
+    """Spawn one load schedule's senders and receivers on a booted cluster.
 
     The caller may pass a prebuilt ``schedule`` (the chaos runner does,
     so it can aim faults at scheduled hotspots); otherwise one is built
-    from the config.  Runs the simulator up to profile end + drain and
-    returns the raw observations — grading lives in
-    :mod:`repro.load.verdict`.
-
-    With ``pause_at`` (an absolute simulated instant), the run stops at
-    that time instead and a ``(result, finish)`` pair comes back:
-    ``result`` is the accounting-so-far (still mutating) and ``finish()``
-    drives the remaining schedule to the horizon and returns it settled —
-    the split behind ``repro snapshot`` for load-plane runs.
+    from the config.  Nothing runs yet: the returned accounting fills in
+    as the caller drives the simulator to ``result.horizon`` (profile
+    end + drain) in 10 ms slices, as :func:`run_load` does — grading
+    lives in :mod:`repro.load.verdict`.
     """
     if len(cluster) != config.n_nodes:
         raise ValueError("config says %d nodes but cluster has %d"
@@ -382,23 +378,13 @@ def run_load(cluster, config: LoadConfig,
         node.host.spawn(receiver(node), "load-rcv%d" % node.node_id)
     for node in cluster.nodes:
         node.host.spawn(sender(node), "load-snd%d" % node.node_id)
-
-    def drive(limit: float) -> None:
-        while True:
-            next_at = sim.peek()
-            if next_at > limit:
-                break
-            sim.run(until=min(next_at + 10_000.0, limit))
-
-    if pause_at is not None:
-        limit = min(pause_at, horizon)
-        drive(limit)
-        sim.run(until=limit)
-
-        def finish() -> LoadRunResult:
-            drive(horizon)
-            return result
-
-        return result, finish
-    drive(horizon)
     return result
+
+
+def run_load(cluster, config: LoadConfig,
+             schedule: Optional[Schedule] = None) -> LoadRunResult:
+    """Drive one load schedule against a booted cluster to its horizon
+    and return the raw observations (see :func:`start_load`)."""
+    result = start_load(cluster, config, schedule)
+    return drive_run(cluster, config, lambda: result,
+                     horizon=result.horizon, slice_us=10_000.0)

@@ -18,8 +18,6 @@ from .campaign import (
     NetFaultCampaignResult,
     NetFaultConfig,
     NetFaultOutcome,
-    run_netfault_injection,
-    run_netfaults_campaign,
 )
 from .detector import PathDetector, Verdict, arm_detectors
 from .plane import FaultAction, NetworkFaultPlane
@@ -36,6 +34,4 @@ __all__ = [
     "PathDetector",
     "Verdict",
     "arm_detectors",
-    "run_netfault_injection",
-    "run_netfaults_campaign",
 ]

@@ -10,11 +10,10 @@ breakdown analogous to the paper's Table 3 (detection, daemon wakeup,
 mapper discovery, table distribution, traffic resumption).
 
 Every run builds its own simulator from its own seed and shares nothing
-with its siblings, so campaigns parallelize exactly like the SWIFI
-campaigns in :mod:`repro.faults.campaign` — both fan out through the
-experiment engine's public :func:`repro.exp.runner.run_many` — and
-same-seed campaigns render byte-identical tables.  The campaign is also
-registered as the ``netfaults`` experiment (``repro run netfaults``).
+with its siblings, so the campaign — the registered ``netfaults``
+experiment (``repro run netfaults``) — fans out through the experiment
+engine exactly like the SWIFI campaigns, and same-seed campaigns render
+byte-identical tables.
 """
 
 from __future__ import annotations
@@ -22,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..cluster import build_cluster
+from ..ckpt.pause import drive_run
+from ..exp.spec import ClusterSpec
 from ..obs.harvest import harvest_cluster
 from ..payload import Payload
 from ..sim import SeededRng
@@ -31,20 +31,22 @@ from .plane import NetworkFaultPlane
 
 __all__ = [
     "NET_SCENARIOS",
+    "NET_CLUSTER",
     "NET_CATEGORY_ORDER",
     "NetCategory",
     "NetFaultConfig",
     "NetFaultOutcome",
     "NetFaultCampaignResult",
     "inject_scenario",
-    "run_netfault_injection",
-    "boot_netfault",
     "resume_netfault",
-    "netfault_family",
-    "run_netfaults_campaign",
 ]
 
 NET_SCENARIOS = ["link-cut", "link-flap", "switch-port-kill", "corrupt"]
+
+#: The sweep's fabric: four FTGM nodes on a two-switch ring, whose two
+#: independent uplinks leave an alternate path around a severed one.
+NET_CLUSTER = ClusterSpec(n_nodes=4, flavor="ftgm", topology="ring",
+                          n_switches=2)
 
 
 class NetCategory:
@@ -69,10 +71,7 @@ class NetFaultConfig:
     run_id: int
     seed: int
     scenario: str                     # one of NET_SCENARIOS
-    n_nodes: int = 4
-    topology: str = "ring"
-    n_switches: int = 2
-    radix: int = 0                    # Clos/fat-tree port count; 0 = default
+    cluster: ClusterSpec = NET_CLUSTER
     # Directed workload endpoints.  None keeps the historic sweep shape
     # (every node i paired with i + n/2, both directions); large-fabric
     # campaigns name a handful of explicit cross-rack (src, dst) pairs
@@ -169,7 +168,7 @@ def _pick_fault_time(config: NetFaultConfig, rng: SeededRng) -> float:
 
 
 def inject_scenario(plane: NetworkFaultPlane, cluster, rng: SeededRng,
-                    fault_at: float, scenario: str, *, n_nodes: int,
+                    fault_at: float, scenario: str, *,
                     flap_down_us: float = 12_000.0,
                     corrupt_rate: float = 0.25,
                     pair: Optional[Tuple[int, int]] = None) -> None:
@@ -185,7 +184,7 @@ def inject_scenario(plane: NetworkFaultPlane, cluster, rng: SeededRng,
     uplinks = plane.fabric.inter_switch_links()
     if not uplinks:
         raise ValueError("fabric has no inter-switch links to fault")
-    src, dst = pair if pair is not None else (0, n_nodes // 2)
+    src, dst = pair if pair is not None else (0, len(cluster) // 2)
     route = cluster[src].mcp.routing_table.get(dst)
     on_path = [link for link in plane.links_on_route(src, route or [])
                if link in uplinks]
@@ -209,33 +208,9 @@ def inject_scenario(plane: NetworkFaultPlane, cluster, rng: SeededRng,
 def _inject(config: NetFaultConfig, plane: NetworkFaultPlane,
             cluster, rng: SeededRng, fault_at: float) -> None:
     inject_scenario(plane, cluster, rng, fault_at, config.scenario,
-                    n_nodes=config.n_nodes,
                     flap_down_us=config.flap_down_us,
                     corrupt_rate=config.corrupt_rate,
                     pair=config.pairs[0] if config.pairs else None)
-
-
-def netfault_family(config: NetFaultConfig):
-    """Key of the boot all runs with this config's fabric can share.
-
-    The boot depends on the cluster shape only — every scenario of a
-    sweep reuses the same booted fabric.
-    """
-    return (config.n_nodes, config.topology, config.n_switches,
-            config.radix)
-
-
-def boot_netfault(config: NetFaultConfig):
-    """Build and boot the shared pre-fault prefix (seed-independent)."""
-    return build_cluster(config.n_nodes, flavor="ftgm",
-                         seed=config.seed, topology=config.topology,
-                         n_switches=config.n_switches,
-                         radix=config.radix or None)
-
-
-def run_netfault_injection(config: NetFaultConfig) -> NetFaultOutcome:
-    """Run one netfault experiment and classify the outcome."""
-    return resume_netfault(boot_netfault(config), config)
 
 
 def resume_netfault(cluster, config: NetFaultConfig,
@@ -243,7 +218,7 @@ def resume_netfault(cluster, config: NetFaultConfig,
                     detector_nodes: Optional[List[int]] = None,
                     detector_kwargs: Optional[Dict] = None,
                     pause_at: Optional[float] = None):
-    """Arm, inject, observe and classify on an already-booted cluster.
+    """Arm, inject, observe and classify on the cluster ``boot_run`` booted.
 
     ``inject_fn(config, plane, cluster, rng, fault_at)`` overrides the
     default :func:`inject_scenario` dispatch — the Clos campaign's
@@ -271,7 +246,7 @@ def resume_netfault(cluster, config: NetFaultConfig,
     if config.pairs is not None:
         pairs = [tuple(p) for p in config.pairs]
     else:
-        half = config.n_nodes // 2
+        half = len(cluster) // 2
         pairs = [(i, i + half) for i in range(half)]
     directed = [(a, b) for a, b in pairs] + [(b, a) for a, b in pairs]
     expected = {
@@ -347,15 +322,7 @@ def resume_netfault(cluster, config: NetFaultConfig,
 
     horizon = config.observe_horizon_us
 
-    def drive(limit: float) -> None:
-        while not _done():
-            next_at = sim.peek()
-            if next_at > limit:
-                break
-            sim.run(until=min(next_at + 1_000.0, limit))
-
     def finish() -> NetFaultOutcome:
-        drive(horizon)
         sim.run(until=min(sim.now + 10_000.0, horizon))
 
         # -- observe and classify ----------------------------------------------
@@ -403,13 +370,9 @@ def resume_netfault(cluster, config: NetFaultConfig,
         harvest_cluster(cluster, fault_at=fault_at)
         return outcome.finalize()
 
-    if pause_at is not None:
-        limit = min(pause_at, horizon)
-        drive(limit)
-        sim.run(until=limit)
-        from ..ckpt.pause import PausedRun
-        return PausedRun(cluster, config, {"plane": plane}, finish)
-    return finish()
+    return drive_run(cluster, config, finish, horizon=horizon,
+                     slice_us=1_000.0, done=_done, pause_at=pause_at,
+                     extras={"plane": plane})
 
 
 # -- the campaign --------------------------------------------------------------
@@ -417,12 +380,17 @@ def resume_netfault(cluster, config: NetFaultConfig,
 
 @dataclass
 class NetFaultCampaignResult:
-    """Aggregate of one netfault campaign."""
+    """Aggregate of one netfault or closfault campaign.
 
-    TITLE = "Netfault campaign"
+    ``order`` lists the row names (scenarios, or closfault's
+    ``kind/flavor`` cells) in table order; rows it does not name follow,
+    sorted.
+    """
 
     seed: int
     outcomes: List[NetFaultOutcome]
+    title: str = "Netfault campaign"
+    order: Tuple[str, ...] = tuple(NET_SCENARIOS)
     counts: Dict[str, Dict[str, int]] = field(init=False)
 
     def __post_init__(self):
@@ -434,8 +402,8 @@ class NetFaultCampaignResult:
             row[outcome.category] += 1
 
     def scenarios(self) -> List[str]:
-        return [s for s in NET_SCENARIOS if s in self.counts] + \
-            sorted(s for s in self.counts if s not in NET_SCENARIOS)
+        return [s for s in self.order if s in self.counts] + \
+            sorted(s for s in self.counts if s not in self.order)
 
     def latency_breakdown(self) -> List[Tuple[str, float, int]]:
         """(segment, mean µs, samples) over reroute-recovered runs."""
@@ -456,7 +424,7 @@ class NetFaultCampaignResult:
     def render(self) -> str:
         lines = [
             "%s (seed=%d, %d runs)"
-            % (self.TITLE, self.seed, len(self.outcomes)),
+            % (self.title, self.seed, len(self.outcomes)),
             "%-18s %9s %11s %6s %11s" % ("Scenario", "reroute",
                                          "retransmit", "lost",
                                          "deadlocked"),
@@ -479,31 +447,3 @@ class NetFaultCampaignResult:
                 lines.append("  %-28s %12.1f us  (n=%d)"
                              % (label, mean, samples))
         return "\n".join(lines)
-
-
-def run_netfaults_campaign(runs_per_scenario: int = 5, seed: int = 2003,
-                           scenarios: Optional[List[str]] = None,
-                           n_nodes: int = 4, topology: str = "ring",
-                           messages: int = 12,
-                           progress: Optional[Callable[[int], None]] = None,
-                           workers: int = 1) -> NetFaultCampaignResult:
-    """Sweep every scenario ``runs_per_scenario`` times.
-
-    ``workers > 1`` fans runs out over forked workers via the SWIFI
-    campaign's runner; the aggregate is identical to a serial campaign.
-    """
-    from ..exp.runner import derive_run_seed, run_many
-
-    scenarios = scenarios or list(NET_SCENARIOS)
-    configs = []
-    run_id = 0
-    for scenario in scenarios:
-        for _ in range(runs_per_scenario):
-            configs.append(NetFaultConfig(
-                run_id=run_id, seed=derive_run_seed(seed, run_id),
-                scenario=scenario, n_nodes=n_nodes, topology=topology,
-                messages=messages))
-            run_id += 1
-    outcomes = run_many(configs, run_netfault_injection, workers=workers,
-                        progress=progress)
-    return NetFaultCampaignResult(seed, outcomes)

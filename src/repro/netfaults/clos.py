@@ -29,32 +29,27 @@ draws and same-seed campaigns render byte-identical tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from ..cluster import build_cluster
 from ..net.fabric import clos_dimensions, fat_tree_dimensions
 from ..net.switch import SwitchPort
 from ..sim import SeededRng
-from .campaign import (
-    NetFaultCampaignResult,
-    NetFaultConfig,
-    NetFaultOutcome,
-    resume_netfault,
-)
+from .campaign import NetFaultConfig, resume_netfault
 
 __all__ = [
     "CLOS_SCENARIOS",
+    "CLOS_CELLS",
     "ClosFaultConfig",
-    "ClosFaultCampaignResult",
     "cross_fabric_pairs",
     "inject_closfault",
-    "boot_closfault",
     "resume_closfault",
-    "closfault_family",
-    "run_closfault_injection",
 ]
 
 CLOS_SCENARIOS = ["rack-loss", "spine-loss", "cascade", "repair-flap"]
+
+#: The campaign grid's cells in table order: each scenario, FT on then off.
+CLOS_CELLS = tuple("%s/%s" % (kind, flavor) for kind in CLOS_SCENARIOS
+                   for flavor in ("ftgm", "gm"))
 
 #: Hop budget for detector escalation scouts: 5 hops reaches any host
 #: of a 3-tier fat-tree (edge-agg-core-agg-edge); the mapper default (8)
@@ -70,7 +65,6 @@ class ClosFaultConfig(NetFaultConfig):
     the fault kind in front of the slash selects the injection.
     """
 
-    flavor: str = "ftgm"
     # The default 6-message/2ms-gap stream spans ~12 ms; the inherited
     # (2, 14) ms window could land a fault after the last delivery,
     # testing nothing.  Keep every compound fault mid-stream.
@@ -203,20 +197,7 @@ def inject_closfault(config: ClosFaultConfig, plane, cluster,
         raise ValueError("unknown closfault scenario %r" % (kind,))
 
 
-# -- boot / resume (fork-server compatible) ------------------------------------
-
-
-def closfault_family(config: ClosFaultConfig):
-    """Boot-sharing key: runs of one cell shape share a booted fabric."""
-    return ("closfault", config.flavor, config.n_nodes, config.topology,
-            config.n_switches, config.radix)
-
-
-def boot_closfault(config: ClosFaultConfig):
-    return build_cluster(config.n_nodes, flavor=config.flavor,
-                         seed=config.seed, topology=config.topology,
-                         n_switches=config.n_switches,
-                         radix=config.radix or None)
+# -- resume --------------------------------------------------------------------
 
 
 def resume_closfault(cluster, config: ClosFaultConfig,
@@ -237,24 +218,3 @@ def resume_closfault(cluster, config: ClosFaultConfig,
         detector_nodes=active or None,
         detector_kwargs={"scout_ttl": DETECTOR_SCOUT_TTL},
         pause_at=pause_at)
-
-
-def run_closfault_injection(config: ClosFaultConfig) -> NetFaultOutcome:
-    return resume_closfault(boot_closfault(config), config)
-
-
-# -- campaign aggregate --------------------------------------------------------
-
-
-class ClosFaultCampaignResult(NetFaultCampaignResult):
-    """Netfault aggregate with the closfault cell ordering."""
-
-    TITLE = "Closfault campaign"
-
-    def scenarios(self) -> List[str]:
-        order = ["%s/%s" % (kind, flavor) for kind in CLOS_SCENARIOS
-                 for flavor in ("ftgm", "gm")]
-        present = [cell for cell in order if cell in self.counts]
-        extras = sorted(cell for cell in self.counts
-                        if cell not in present)
-        return present + extras

@@ -12,7 +12,7 @@ from repro.faults.injector import InjectionConfig, resume_injection
 
 
 def _paused_cluster(seed=2003, at=5_000.0):
-    config = InjectionConfig(run_id=0, seed=seed, flavor="gm")
+    config = InjectionConfig(run_id=0, seed=seed)
     cluster = build_cluster(2, flavor="gm", interpreted_nodes=[0],
                             seed=seed)
     paused = resume_injection(cluster, config, pause_at=at)

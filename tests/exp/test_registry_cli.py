@@ -1,10 +1,12 @@
-"""The registry behind the CLI: every verb resolves, run/list work."""
+"""The registry behind the CLI: every experiment runs under one
+spelling, ``repro run <name>``; run/list work."""
 
 import json
 
 import pytest
 
-from repro.cli import _legacy_parser, main
+from repro.ckpt.snapshot import restore_snapshot, take_snapshot
+from repro.cli import main
 from repro.exp.registry import all_experiments, experiment_names, \
     get_experiment
 from repro.exp.results import validate_result
@@ -15,13 +17,15 @@ ALL_VERBS = ("table1", "table2", "table3", "fig7", "fig8", "fig9",
 
 
 class TestRegistry:
-    def test_every_cli_verb_resolves_to_a_registered_experiment(self):
-        parser = _legacy_parser()
-        subparsers = next(a for a in parser._actions
-                          if hasattr(a, "choices") and a.choices)
-        for verb in subparsers.choices:
-            experiment = get_experiment(verb)
-            assert experiment.name == verb
+    @pytest.mark.parametrize("name", experiment_names())
+    def test_every_experiment_runs_via_repro_run(self, name, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", name, "--help"])
+        assert exit_info.value.code == 0
+        usage = capsys.readouterr().out
+        assert usage.startswith("usage: repro run %s" % name)
+        for option in get_experiment(name).options:
+            assert option.flag in usage
 
     def test_all_historic_verbs_registered(self):
         names = experiment_names()
@@ -55,6 +59,8 @@ class TestEngineVerbs:
     def test_run_by_name(self, capsys):
         assert main(["run", "table1", "--runs", "2"]) == 0
         assert "Failure Category" in capsys.readouterr().out
+        assert main(["run", "netfaults", "--runs-per-scenario", "1"]) == 0
+        assert "Netfault campaign" in capsys.readouterr().out
 
     def test_run_writes_a_valid_result_document(self, tmp_path, capsys):
         out = tmp_path / "result.json"
@@ -84,10 +90,33 @@ class TestEngineVerbs:
         with pytest.raises(SystemExit):
             main(["run", "nope"])
 
-    def test_legacy_netfaults_flag_still_spells_runs(self, capsys):
-        assert main(["netfaults", "--runs", "1"]) == 0
-        assert "Netfault campaign" in capsys.readouterr().out
-
     def test_workers_flag_accepted_everywhere(self, capsys):
-        assert main(["table1", "--runs", "2", "--workers", "2"]) == 0
-        capsys.readouterr()
+        assert main(["run", "table1", "--runs", "2", "--workers", "2"]) == 0
+        assert "Failure Category" in capsys.readouterr().out
+
+    def test_experiment_name_is_not_a_command(self, capsys):
+        assert main(["table1", "--runs", "2"]) == 2
+        assert "use 'repro run table1'" in capsys.readouterr().err
+
+
+CAMPAIGNS = [("table1", {"runs": 1}),
+             ("netfaults", {"runs_per_scenario": 1}),
+             ("closfault", {"scale": "small"}),
+             ("slo-chaos", {"scale": "small"})]
+
+
+@pytest.mark.parametrize("name,params", CAMPAIGNS,
+                         ids=[name for name, _ in CAMPAIGNS])
+def test_campaign_protocol_is_resume_on_the_configs_cluster(name, params):
+    """A campaign registers ``resume``; boot, family, ``run_one`` and the
+    snapshot pause all derive from it and ``config.cluster``."""
+    experiment = get_experiment(name)
+    spec = experiment.build_spec(params)
+    config = experiment.expand(spec)[0]
+    assert experiment.boot_family(config) == config.cluster
+    outcome = experiment.run_one(config)
+    assert outcome == experiment.resume(experiment.boot(config), config)
+    snapshot = take_snapshot(spec, 4_000.0, 0)
+    paused = restore_snapshot(snapshot)         # verifies the state hash
+    assert paused.now == snapshot.at_us
+    assert paused.finish() == outcome

@@ -8,13 +8,13 @@ text, serial and with ``workers=4`` alike.
 
 from repro.exp.registry import get_experiment
 from repro.exp.runner import run_experiment
+from repro.exp.spec import ClusterSpec
 from repro.faults.campaign import CampaignResult
-from repro.faults.injector import InjectionConfig, run_injection
+from repro.faults.injector import SWIFI_CLUSTER, InjectionConfig
 from repro.netfaults.campaign import (
     NET_SCENARIOS,
     NetFaultCampaignResult,
     NetFaultConfig,
-    run_netfault_injection,
 )
 
 RUNS = 6
@@ -22,8 +22,9 @@ SEED = 2003
 
 
 def historic_table1():
-    outcomes = [run_injection(InjectionConfig(run_id=i, seed=SEED + i,
-                                              flavor="gm", messages=16))
+    run_one = get_experiment("table1").run_one
+    outcomes = [run_one(InjectionConfig(run_id=i, seed=SEED + i,
+                                        cluster=SWIFI_CLUSTER, messages=16))
                 for i in range(RUNS)]
     return outcomes, CampaignResult(RUNS, outcomes).render()
 
@@ -35,9 +36,11 @@ def historic_netfaults(runs_per_scenario=1):
         for _ in range(runs_per_scenario):
             configs.append(NetFaultConfig(
                 run_id=run_id, seed=SEED + run_id, scenario=scenario,
-                n_nodes=4, topology="ring", messages=12))
+                cluster=ClusterSpec(n_nodes=4, flavor="ftgm",
+                                    topology="ring", n_switches=2),
+                messages=12))
             run_id += 1
-    outcomes = [run_netfault_injection(c) for c in configs]
+    outcomes = [get_experiment("netfaults").run_one(c) for c in configs]
     return outcomes, NetFaultCampaignResult(SEED, outcomes).render()
 
 

@@ -2,12 +2,16 @@
 
 import pytest
 
-from repro.faults import run_effectiveness_study
+from repro.exp.registry import get_experiment
+from repro.exp.runner import run_experiment
 
 
 @pytest.fixture(scope="module")
 def study():
-    return run_effectiveness_study(runs=30, seed=4242, messages=8)
+    experiment = get_experiment("effectiveness")
+    spec = experiment.build_spec({"runs": 30, "seed": 4242, "messages": 8})
+    return experiment.aggregate(
+        spec, run_experiment(spec, forkserver=False).outcomes)
 
 
 def test_hang_population_nonempty(study):

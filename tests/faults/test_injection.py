@@ -2,15 +2,25 @@
 
 import pytest
 
+from repro.exp.registry import get_experiment
+from repro.exp.runner import run_experiment
 from repro.faults import (
     CATEGORY_ORDER,
     Category,
     InjectionConfig,
     classify,
-    run_campaign,
-    run_injection,
 )
 from repro.faults.outcomes import InjectionOutcome
+
+run_one = get_experiment("table1").run_one
+
+
+def table1_campaign(**params):
+    """The ``table1`` campaign's CampaignResult, run in-process."""
+    experiment = get_experiment("table1")
+    spec = experiment.build_spec(params)
+    return experiment.aggregate(
+        spec, run_experiment(spec, forkserver=False).outcomes)
 
 
 class TestClassifier:
@@ -57,14 +67,14 @@ class TestClassifier:
 
 class TestSingleInjection:
     def test_deterministic_for_same_seed(self):
-        a = run_injection(InjectionConfig(run_id=0, seed=123, messages=8))
-        b = run_injection(InjectionConfig(run_id=0, seed=123, messages=8))
+        a = run_one(InjectionConfig(run_id=0, seed=123, messages=8))
+        b = run_one(InjectionConfig(run_id=0, seed=123, messages=8))
         assert a.category == b.category
         assert a.bit_offset == b.bit_offset
 
     def test_different_seeds_vary_bit(self):
-        bits = {run_injection(InjectionConfig(run_id=i, seed=500 + i,
-                                              messages=4)).bit_offset
+        bits = {run_one(InjectionConfig(run_id=i, seed=500 + i,
+                                        messages=4)).bit_offset
                 for i in range(5)}
         assert len(bits) > 1
 
@@ -97,27 +107,26 @@ class TestSingleInjection:
             except Exception:
                 continue
         assert nop_offset is not None
-        outcome = run_injection(InjectionConfig(
+        outcome = run_one(InjectionConfig(
             run_id=0, seed=1, messages=6,
             bit_offset=nop_offset * 8 + 31))
         assert outcome.category == Category.NO_IMPACT
 
     def test_forced_opcode_corruption_is_visible(self):
         """Clearing the opcode MSB region of a load usually breaks it."""
-        outcome = run_injection(InjectionConfig(
+        outcome = run_one(InjectionConfig(
             run_id=0, seed=1, messages=6, bit_offset=0))
         assert outcome.category != ""  # classified; exact bucket varies
 
     def test_outcome_records_source_line(self):
-        outcome = run_injection(InjectionConfig(run_id=0, seed=9,
-                                                messages=4))
+        outcome = run_one(InjectionConfig(run_id=0, seed=9, messages=4))
         assert isinstance(outcome.faulting_source_line, str)
 
 
 class TestCampaign:
     @pytest.fixture(scope="class")
     def small_campaign(self):
-        return run_campaign(runs=25, seed=900, messages=8)
+        return table1_campaign(runs=25, seed=900, messages=8)
 
     def test_counts_sum_to_runs(self, small_campaign):
         assert sum(small_campaign.counts.values()) == 25
@@ -190,9 +199,9 @@ class TestClassifyDeliveries:
         """The acceptance bar: vectorized classification leaves campaign
         outcomes byte-identical to the historic scalar loop."""
         from repro.faults import injector
-        vectored = run_campaign(runs=4, seed=seed, messages=6)
+        vectored = table1_campaign(runs=4, seed=seed, messages=6)
         monkeypatch.setattr(injector, "_np", None)
-        scalar = run_campaign(runs=4, seed=seed, messages=6)
+        scalar = table1_campaign(runs=4, seed=seed, messages=6)
         assert scalar.counts == vectored.counts
         assert scalar.outcomes == vectored.outcomes
         assert scalar.render() == vectored.render()

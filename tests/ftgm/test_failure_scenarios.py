@@ -14,7 +14,10 @@ ABSENT under FTGM.  The scenario runners live in
 :mod:`repro.faults.scenarios` (shared with the Fig. 4/5 benchmark).
 """
 
+import pytest
+
 from repro.faults.scenarios import run_figure4, run_figure5
+from repro.gm.library import Port
 
 
 class TestFigure4Duplicates:
@@ -47,3 +50,15 @@ class TestFigure5LostMessages:
         assert result.sender_told_success
         assert result.receiver_got_message
         assert not result.lost
+
+    def test_a_non_gm_error_from_the_send_path_raises(self, monkeypatch):
+        # The sender catches GmError only: a send GM rejects is a failed
+        # send, any other exception is a bug and must surface instead of
+        # being tabulated as one.
+        def send(self, *args, **kwargs):
+            raise RuntimeError("send path bug")
+            yield  # pragma: no cover - a generator, like Port.send
+
+        monkeypatch.setattr(Port, "send", send)
+        with pytest.raises(RuntimeError, match="send path bug"):
+            run_figure5("ftgm")

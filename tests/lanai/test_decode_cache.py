@@ -11,7 +11,8 @@ every subsequent execution until the MCP is reloaded.
 import pytest
 
 from repro.errors import InvalidInstruction
-from repro.faults.injector import InjectionConfig, run_injection
+from repro.exp.registry import get_experiment
+from repro.faults.injector import InjectionConfig
 from repro.hw.sram import Sram
 from repro.lanai import isa
 from repro.lanai.bus import MemoryBus
@@ -134,7 +135,7 @@ def test_every_write_path_invalidates():
 
 
 def test_injector_flip_reaches_interpreted_firmware():
-    """End to end: a fixed-offset flip through ``run_injection`` must
+    """End to end: a fixed-offset flip through a ``table1`` run must
     corrupt the cached ``send_chunk`` decode mid-campaign."""
     from repro.cluster import build_cluster
 
@@ -155,13 +156,14 @@ def test_injector_flip_reaches_interpreted_firmware():
             break
     assert target is not None, "send_chunk has no invalidating flip?"
 
-    config = InjectionConfig(run_id=0, seed=1234, flavor="gm",
+    config = InjectionConfig(run_id=0, seed=1234,
                              messages=6, inject_after_messages=3,
                              bit_offset=target)
-    outcome = run_injection(config)
+    run_one = get_experiment("table1").run_one
+    outcome = run_one(config)
     # send_chunk ran (and was cached) three times before the flip; the
     # fourth execution must see the corrupted word and hang the LANai.
     assert outcome.local_hung
     assert "invalid-instruction" in (outcome.hang_reason or "")
     # Hermetic runs are reproducible.
-    assert run_injection(config) == outcome
+    assert run_one(config) == outcome

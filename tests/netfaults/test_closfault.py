@@ -3,12 +3,11 @@
 import pytest
 
 from repro.exp.registry import get_experiment
+from repro.exp.spec import ClusterSpec
 from repro.netfaults.campaign import NetCategory
-from repro.netfaults.clos import (
-    ClosFaultConfig,
-    cross_fabric_pairs,
-    run_closfault_injection,
-)
+from repro.netfaults.clos import ClosFaultConfig, cross_fabric_pairs
+
+run_one = get_experiment("closfault").run_one
 
 
 class TestCrossFabricPairs:
@@ -45,9 +44,11 @@ class TestCrossFabricPairs:
 def _config(scenario, flavor, **overrides):
     pairs = cross_fabric_pairs(16, "fat-tree", radix=4, n_pairs=2)
     defaults = dict(scenario="%s/%s" % (scenario, flavor), run_id=0,
-                    seed=2003, n_nodes=16, topology="fat-tree",
-                    n_switches=2, radix=4, flavor=flavor, pairs=pairs,
-                    messages=6)
+                    seed=2003,
+                    cluster=ClusterSpec(n_nodes=16, flavor=flavor,
+                                        topology="fat-tree", n_switches=2,
+                                        radix=4),
+                    pairs=pairs, messages=6)
     defaults.update(overrides)
     return ClosFaultConfig(**defaults)
 
@@ -57,31 +58,31 @@ class TestCompoundRecovery:
         # Killing the mid-route core switch severs every path through
         # it at once; FTGM's detector + remap must converge on one of
         # the surviving equal-cost paths and finish the stream.
-        outcome = run_closfault_injection(_config("spine-loss", "ftgm"))
+        outcome = run_one(_config("spine-loss", "ftgm"))
         assert outcome.category == NetCategory.REROUTE
         assert outcome.delivered_once == outcome.messages_expected
 
     def test_spine_loss_gm_deadlocks(self):
         # Plain GM has no path detector: same fault, stuck stream.
-        outcome = run_closfault_injection(_config("spine-loss", "gm"))
+        outcome = run_one(_config("spine-loss", "gm"))
         assert outcome.category == NetCategory.DEADLOCKED
 
     def test_rack_loss_recovers_by_retransmission(self):
         # A dead edge switch partitions its rack — no reroute exists.
         # After the revival, Go-Back-N drains the backlog.
-        outcome = run_closfault_injection(_config("rack-loss", "ftgm"))
+        outcome = run_one(_config("rack-loss", "ftgm"))
         assert outcome.category == NetCategory.RETRANSMIT
         assert outcome.delivered_once == outcome.messages_expected
 
     def test_cascade_ftgm_converges_across_staged_cuts(self):
-        outcome = run_closfault_injection(_config("cascade", "ftgm"))
+        outcome = run_one(_config("cascade", "ftgm"))
         assert outcome.category in (NetCategory.REROUTE,
                                     NetCategory.RETRANSMIT)
         assert outcome.delivered_once == outcome.messages_expected
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):
-            run_closfault_injection(_config("bathtub", "ftgm"))
+            run_one(_config("bathtub", "ftgm"))
 
 
 class TestExperimentRegistration:

@@ -10,12 +10,10 @@ be deterministic: two same-seed executions produce identical traces.
 
 from dataclasses import asdict
 
-from repro.netfaults import (
-    NetCategory,
-    NetFaultConfig,
-    Verdict,
-    run_netfault_injection,
-)
+from repro.exp.registry import get_experiment
+from repro.netfaults import NetCategory, NetFaultConfig, Verdict
+
+run_one = get_experiment("netfaults").run_one
 
 _CONFIG = dict(run_id=0, seed=1234, scenario="link-cut",
                fault_at_us=9_000.0)
@@ -23,7 +21,7 @@ _CONFIG = dict(run_id=0, seed=1234, scenario="link-cut",
 
 class TestRerouteRecovery:
     def setup_method(self):
-        self.outcome = run_netfault_injection(NetFaultConfig(**_CONFIG))
+        self.outcome = run_one(NetFaultConfig(**_CONFIG))
 
     def test_detector_classifies_path_dead(self):
         verdicts = {v for _t, _d, v in self.outcome.verdicts}
@@ -57,6 +55,6 @@ class TestRerouteRecovery:
 
 
 def test_same_seed_runs_are_identical():
-    first = run_netfault_injection(NetFaultConfig(**_CONFIG))
-    second = run_netfault_injection(NetFaultConfig(**_CONFIG))
+    first = run_one(NetFaultConfig(**_CONFIG))
+    second = run_one(NetFaultConfig(**_CONFIG))
     assert asdict(first) == asdict(second)

@@ -77,24 +77,24 @@ class TestTopLevelApi:
 class TestCli:
     def test_fig45(self, capsys):
         from repro.cli import main
-        assert main(["fig45"]) == 0
+        assert main(["run", "fig45"]) == 0
         out = capsys.readouterr().out
         assert "Fig 4 duplicate, naive GM" in out
         assert "YES" in out
 
     def test_table1_small(self, capsys):
         from repro.cli import main
-        assert main(["table1", "--runs", "4"]) == 0
+        assert main(["run", "table1", "--runs", "4"]) == 0
         out = capsys.readouterr().out
         assert "Failure Category" in out
 
     def test_effectiveness_small(self, capsys):
         from repro.cli import main
-        assert main(["effectiveness", "--runs", "4"]) == 0
+        assert main(["run", "effectiveness", "--runs", "4"]) == 0
         out = capsys.readouterr().out
         assert "Recovery effectiveness" in out
 
-    def test_requires_command(self):
+    def test_requires_command(self, capsys):
         from repro.cli import main
-        with pytest.raises(SystemExit):
-            main([])
+        assert main([]) == 2
+        assert capsys.readouterr().err.startswith("usage: repro <command>")

@@ -8,7 +8,8 @@ histories.
 
 
 from repro.cluster import build_cluster
-from repro.faults import InjectionConfig, run_injection
+from repro.exp.registry import get_experiment
+from repro.faults import InjectionConfig
 from repro.payload import Payload
 
 
@@ -70,8 +71,9 @@ def test_different_seeds_still_deliver_identically():
 
 def test_injection_campaign_runs_bit_identical():
     config = InjectionConfig(run_id=3, seed=555, messages=8)
-    a = run_injection(config)
-    b = run_injection(config)
+    run_one = get_experiment("table1").run_one
+    a = run_one(config)
+    b = run_one(config)
     assert (a.category, a.bit_offset, a.injected_at,
             a.messages_delivered_ok, a.hang_reason) \
         == (b.category, b.bit_offset, b.injected_at,
