@@ -6,34 +6,36 @@ reload, and FTGM's restored sequence state / moved commit point remove
 them.
 """
 
-from repro.faults.scenarios import run_figure4, run_figure5
+from repro.exp.registry import get_experiment
+from repro.exp.runner import run_experiment
 
 
 def test_fig45_failure_matrix(benchmark, report):
     def run_matrix():
-        return {
-            ("fig4", "gm"): run_figure4("gm"),
-            ("fig4", "ftgm"): run_figure4("ftgm"),
-            ("fig5", "gm"): run_figure5("gm"),
-            ("fig5", "ftgm"): run_figure5("ftgm"),
-        }
+        experiment = get_experiment("fig45")
+        spec = experiment.build_spec({})
+        outcomes = run_experiment(spec).outcomes
+        return {("fig%d" % config.figure, config.cluster.flavor):
+                outcome["bad"]
+                for config, outcome in zip(experiment.expand(spec),
+                                           outcomes)}
 
-    matrix = benchmark.pedantic(run_matrix, rounds=1, iterations=1)
+    bad = benchmark.pedantic(run_matrix, rounds=1, iterations=1)
     lines = [
         "Figures 4 & 5: failure scenarios under naive-GM vs FTGM",
         "%-42s %8s %8s" % ("scenario", "GM", "FTGM"),
         "%-42s %8s %8s" % (
             "Fig 4: duplicate delivered after crash",
-            "YES" if matrix[("fig4", "gm")].duplicate else "no",
-            "YES" if matrix[("fig4", "ftgm")].duplicate else "no"),
+            "YES" if bad[("fig4", "gm")] else "no",
+            "YES" if bad[("fig4", "ftgm")] else "no"),
         "%-42s %8s %8s" % (
             "Fig 5: message lost (sender told success)",
-            "YES" if matrix[("fig5", "gm")].lost else "no",
-            "YES" if matrix[("fig5", "ftgm")].lost else "no"),
+            "YES" if bad[("fig5", "gm")] else "no",
+            "YES" if bad[("fig5", "ftgm")] else "no"),
     ]
     report("fig45_failure_scenarios", "\n".join(lines))
 
-    assert matrix[("fig4", "gm")].duplicate
-    assert not matrix[("fig4", "ftgm")].duplicate
-    assert matrix[("fig5", "gm")].lost
-    assert not matrix[("fig5", "ftgm")].lost
+    assert bad[("fig4", "gm")]          # a duplicate
+    assert not bad[("fig4", "ftgm")]
+    assert bad[("fig5", "gm")]          # a lost message
+    assert not bad[("fig5", "ftgm")]

@@ -8,12 +8,15 @@ the per-process FAULT_DETECTED handling.
 import pytest
 
 from repro.analysis import recovery_timeline, render_timeline
-from repro.workloads import run_recovery_experiment
+from repro.exp.registry import get_experiment
+from repro.exp.runner import run_experiment
 
 
 def test_fig9_recovery_timeline(benchmark, report):
     def run():
-        return run_recovery_experiment(hang_offset_us=620.0)
+        spec = get_experiment("fig9").build_spec({})   # hang at 620 us
+        outcome, = run_experiment(spec).outcomes
+        return outcome
 
     exp = benchmark.pedantic(run, rounds=1, iterations=1)
     port_done_at = exp.record.events_posted_at + exp.per_port_us

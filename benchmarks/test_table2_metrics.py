@@ -29,8 +29,10 @@ def test_table2_metrics(benchmark, report):
                                     iterations=pp_iters),
             ftgm_latency=run_pingpong(build_cluster(2, flavor="ftgm"), 64,
                                       iterations=pp_iters),
-            gm_util=measure_utilization("gm", messages=60),
-            ftgm_util=measure_utilization("ftgm", messages=60),
+            gm_util=measure_utilization(build_cluster(2, flavor="gm"),
+                                        messages=60),
+            ftgm_util=measure_utilization(build_cluster(2, flavor="ftgm"),
+                                          messages=60),
         )
 
     table = benchmark.pedantic(measure, rounds=1, iterations=1)

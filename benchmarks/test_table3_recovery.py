@@ -7,17 +7,19 @@ MCP), per-process ~900,000 us; total under 2 seconds.
 import pytest
 
 from repro.analysis import Table3
+from repro.exp.registry import get_experiment
+from repro.exp.runner import run_experiment
 from repro.gm import constants as C
-from repro.workloads import run_recovery_experiment
+from repro.workloads import RecoveryConfig
 
 
 def test_table3_recovery_components(benchmark, report):
     def measure():
         # Average detection over several fault phases relative to the
-        # L_timer period (the paper reports the typical value).
-        experiments = [run_recovery_experiment(hang_offset_us=offset)
-                       for offset in (520.0, 610.0, 700.0, 790.0)]
-        return experiments
+        # L_timer period (the paper reports the typical value): the
+        # table3 experiment hangs at 520, 610, 700 and 790 us.
+        spec = get_experiment("table3").build_spec({})
+        return run_experiment(spec).outcomes
 
     experiments = benchmark.pedantic(measure, rounds=1, iterations=1)
     detection = sum(e.detection_us for e in experiments) / len(experiments)
@@ -41,7 +43,8 @@ def test_recovery_scales_linearly_with_open_ports(benchmark, report):
     open ports at the time of failure"."""
 
     def measure():
-        return [run_recovery_experiment(open_ports=n) for n in (1, 2, 3)]
+        run_one = get_experiment("table3").run_one
+        return [run_one(RecoveryConfig(open_ports=n)) for n in (1, 2, 3)]
 
     experiments = benchmark.pedantic(measure, rounds=1, iterations=1)
     lines = ["Per-process recovery vs open ports"]

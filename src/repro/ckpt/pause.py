@@ -7,7 +7,7 @@ where the event wheel left it, and the caller can inspect state, step
 the clock forward, capture a snapshot, or finish the run.  This is the
 "re-enter a failed run just before the fault" workflow from
 docs/CHECKPOINT.md — no re-run from zero.  :func:`drive_run` is the one
-drive loop every campaign's resume ends in, paused or not.
+drive loop every experiment's resume ends in, paused or not.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Any, Callable, Dict, Optional
 
 from .capture import capture_state
 
-__all__ = ["PausedRun", "drive_run"]
+__all__ = ["PausedRun", "drive_run", "map_outcome"]
 
 
 class PausedRun:
@@ -28,10 +28,9 @@ class PausedRun:
     classified outcome.
     """
 
-    def __init__(self, cluster, config, extras: Optional[Dict[str, Any]],
+    def __init__(self, cluster, extras: Optional[Dict[str, Any]],
                  finish: Callable[[], Any]):
         self.cluster = cluster
-        self.config = config
         self.extras = extras or {}
         self._finish = finish
         self.finished = False
@@ -63,7 +62,7 @@ class PausedRun:
         return self._finish()
 
 
-def drive_run(cluster, config, finish: Callable[[], Any], *,
+def drive_run(cluster, finish: Callable[[], Any], *,
               horizon: float, slice_us: float,
               done: Optional[Callable[[], bool]] = None,
               pause_at: Optional[float] = None,
@@ -100,4 +99,14 @@ def drive_run(cluster, config, finish: Callable[[], Any], *,
     limit = min(pause_at, horizon)
     advance(limit)
     sim.run(until=limit)
-    return PausedRun(cluster, config, extras, complete)
+    return PausedRun(cluster, extras, complete)
+
+
+def map_outcome(run: Any, fn: Callable[[Any], Any]) -> Any:
+    """``fn`` of a driven run's outcome; a :class:`PausedRun` comes back
+    paused, and its ``finish()`` returns ``fn`` of the outcome."""
+    if not isinstance(run, PausedRun):
+        return fn(run)
+    finish = run._finish
+    run._finish = lambda: fn(finish())
+    return run

@@ -85,10 +85,6 @@ def _pause_run(spec, run_index: int, at_us: float) -> PausedRun:
     from ..exp.registry import get_experiment
 
     experiment = get_experiment(spec.experiment)
-    if experiment.resume is None:
-        raise SnapshotMismatch(
-            "experiment %r does not support snapshots (no pauseable "
-            "boot/resume split)" % spec.experiment)
     configs = experiment.expand(spec)
     if not 0 <= run_index < len(configs):
         raise SnapshotMismatch(

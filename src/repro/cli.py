@@ -66,7 +66,7 @@ def _execute(experiment, spec, ns, telemetry: bool = False):
         result = run_experiment(
             spec, workers=ns.workers,
             progress=_progress_printer(experiment, spec.runs),
-            journal_path=ns.journal, forkserver=not ns.no_forkserver,
+            journal_path=ns.journal,
             telemetry=telemetry, trace=trace is not None,
             sample_every=ns.sample_every, flight_dir=ns.flight_recorder,
             from_snapshot=ns.from_snapshot)
@@ -93,17 +93,14 @@ def _execute(experiment, spec, ns, telemetry: bool = False):
 
 def _add_common_options(parser) -> None:
     parser.add_argument("--workers", type=int, default=1,
-                        help="parallel runner processes (default 1)")
+                        help="parallel runner processes (default 1; "
+                             "runs fork off one shared boot when above "
+                             "1 or on clusters of 16+ nodes)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write the result JSON here")
     parser.add_argument("--journal", default=None, metavar="PATH",
                         help="checkpoint outcomes here; rerunning the "
                              "same spec resumes from it")
-    parser.add_argument("--no-forkserver", action="store_true",
-                        dest="no_forkserver",
-                        help="boot every run's cluster afresh instead "
-                             "of forking runs off one shared boot "
-                             "(in-process when --workers is 1)")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="capture per-run event traces and write a "
                              "Chrome-trace JSON here (load in Perfetto "

@@ -10,8 +10,6 @@ One spine for every campaign, study and benchmark in the repo:
   run manifests, result documents and their validator.
 * :mod:`repro.exp.registry` — named experiments; every CLI verb is a
   registration (:mod:`repro.exp.experiments`).
-* :mod:`repro.exp.perfbench` — the simulation-stack microbenchmarks,
-  registered as the ``perf`` experiment.
 
 Importing this package is cheap: experiment definitions (and the
 simulator modules they drag in) load lazily on first registry access.

@@ -2,22 +2,21 @@
 
 Each ``register(Experiment(...))`` below declares one study: the SWIFI
 campaigns (Table 1, §5.2 effectiveness, fault surface), the netfault
-and closfault sweeps, the slo-chaos matrix, the GM-vs-FTGM metric and
-figure benchmarks (Tables 2/3, Figs. 4/5/7/8/9) and the perf
-microbenchmarks.  The shared machinery — spec expansion, multi-process
+and closfault sweeps, the slo-chaos matrix, and the GM-vs-FTGM metric
+and figure benchmarks (Tables 2/3, Figs. 4/5/7/8/9).  The shared machinery — spec expansion, multi-process
 fan-out, journaling/resume, manifests — lives in
 :mod:`repro.exp.runner`; this module only declares *what* each
 experiment runs and how its outcomes aggregate and render.
 
-The four campaigns register a ``resume`` and configs that carry their
-``cluster``; the registry derives their boot, boot family and
-``run_one`` (see :class:`repro.exp.registry.Experiment`).
+Every experiment registers a ``resume`` and configs that carry their
+``cluster``; the registry derives its boot, boot family and ``run_one``
+(see :class:`repro.exp.registry.Experiment`).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 from ..faults.campaign import (
     CampaignResult,
@@ -25,6 +24,7 @@ from ..faults.campaign import (
 )
 from ..faults.injector import InjectionConfig, resume_injection
 from ..faults.outcomes import InjectionOutcome
+from ..faults.scenarios import FigureConfig, resume_figure
 from ..faults.surface import analyze_surface
 from ..load.chaos import (
     SLO_SCENARIOS,
@@ -50,8 +50,14 @@ from ..netfaults.clos import (
     resume_closfault,
 )
 from ..workloads.allsize import BandwidthResult
+from ..workloads.pair import PairConfig, resume_pair, resume_point
 from ..workloads.pingpong import PingPongResult
-from ..workloads.recovery import RecoveryExperiment
+from ..workloads.recovery import (
+    RECOVERY_CLUSTER,
+    RecoveryConfig,
+    RecoveryExperiment,
+    run_recovery_experiment,
+)
 from ..workloads.utilization import UtilizationResult
 from .registry import Experiment, Option, register
 from .results import typed_decoder
@@ -459,26 +465,15 @@ def _table2_spec(params: Dict[str, Any]) -> ExperimentSpec:
         params=freeze_params({"iterations": iterations}))
 
 
-def _table2_expand(spec: ExperimentSpec) -> List[Dict[str, Any]]:
-    iterations = spec.param("iterations", 25)
-    return [{"task": task, "iterations": iterations}
-            for task in _TABLE2_TASKS]
-
-
-def _table2_run_one(config: Dict[str, Any]):
-    from ..cluster import build_cluster_from_spec
-    from ..workloads import measure_utilization, run_allsize, run_pingpong
-
-    kind, flavor = config["task"].split("/")
-    if kind == "bandwidth":
-        return run_allsize(
-            build_cluster_from_spec(ClusterSpec(flavor=flavor)),
-            1 << 20, messages=5)
-    if kind == "latency":
-        return run_pingpong(
-            build_cluster_from_spec(ClusterSpec(flavor=flavor)),
-            64, iterations=config["iterations"])
-    return measure_utilization(flavor, messages=60)
+def _table2_expand(spec: ExperimentSpec) -> List[PairConfig]:
+    # (message bytes, count) of each row: a 1 MiB stream of 5 messages,
+    # 64 B ping-pongs, and a 60-message 64 B stream for the meters.
+    shape = {"bandwidth": (1 << 20, 5),
+             "latency": (64, spec.param("iterations", 25)),
+             "util": (64, 60)}
+    return [PairConfig(run_id, scenario.cluster, scenario.workload.kind,
+                       *shape[scenario.workload.kind])
+            for run_id, scenario in enumerate(spec.scenarios)]
 
 
 def _table2_aggregate(spec, outcomes):
@@ -496,7 +491,7 @@ register(Experiment(
     help="GM vs FTGM metrics",
     build_spec=_table2_spec,
     expand=_table2_expand,
-    run_one=_table2_run_one,
+    resume=resume_pair,
     aggregate=_table2_aggregate,
     render=lambda table: table.render(),
     decode=typed_decoder(BandwidthResult, PingPongResult,
@@ -517,22 +512,19 @@ def _recovery_spec(name: str, offsets) -> ExperimentSpec:
         experiment=name, seed=0, runs=len(offsets),
         scenarios=tuple(ScenarioSpec(
             name="hang@%gus" % offset, runs=1,
-            cluster=ClusterSpec(n_nodes=2, flavor="ftgm"),
+            cluster=RECOVERY_CLUSTER,
             workload=WorkloadSpec(kind="stream", messages=30),
             fault=FaultSpec(kind="mcp-hang", params=freeze_params(
                 {"hang_offset_us": offset})))
             for offset in offsets))
 
 
-def _recovery_expand(spec: ExperimentSpec) -> List[Dict[str, Any]]:
-    return [{"hang_offset_us": scenario.fault.params[0][1]}
-            for scenario in spec.scenarios]
-
-
-def _recovery_run_one(config: Dict[str, Any]) -> RecoveryExperiment:
-    from ..workloads import run_recovery_experiment
-
-    return run_recovery_experiment(hang_offset_us=config["hang_offset_us"])
+def _recovery_expand(spec: ExperimentSpec) -> List[RecoveryConfig]:
+    return [RecoveryConfig(
+        run_id=run_id, cluster=scenario.cluster,
+        hang_offset_us=thaw_params(scenario.fault.params)["hang_offset_us"],
+        messages=scenario.workload.messages)
+        for run_id, scenario in enumerate(spec.scenarios)]
 
 
 def _table3_aggregate(spec, outcomes):
@@ -551,7 +543,7 @@ register(Experiment(
     help="recovery-time components",
     build_spec=lambda params: _recovery_spec("table3", _TABLE3_OFFSETS),
     expand=_recovery_expand,
-    run_one=_recovery_run_one,
+    resume=run_recovery_experiment,
     aggregate=_table3_aggregate,
     render=lambda table: table.render(),
     decode=typed_decoder(RecoveryExperiment),
@@ -573,7 +565,7 @@ register(Experiment(
     help="recovery timeline",
     build_spec=lambda params: _recovery_spec("fig9", (620.0,)),
     expand=_recovery_expand,
-    run_one=_recovery_run_one,
+    resume=run_recovery_experiment,
     aggregate=_fig9_aggregate,
     render=_identity,
     decode=typed_decoder(RecoveryExperiment),
@@ -599,35 +591,36 @@ def _sweep_spec(name: str, sizes, knob: str, value: int) -> ExperimentSpec:
         params=freeze_params({knob: value}))
 
 
-def _sweep_sizes(scenario: ScenarioSpec) -> List[int]:
-    return thaw_params(scenario.workload.params)["sizes"]
+def _sweep_configs(spec: ExperimentSpec, kind: str,
+                   count: Callable[[int], int]) -> List[PairConfig]:
+    """One ``kind`` config per (flavor, size) point; ``count(size)``."""
+    configs: List[PairConfig] = []
+    for scenario in spec.scenarios:
+        for size in thaw_params(scenario.workload.params)["sizes"]:
+            configs.append(PairConfig(len(configs), scenario.cluster, kind,
+                                      size, count(size)))
+    return configs
 
 
-def _fig7_expand(spec: ExperimentSpec) -> List[Dict[str, Any]]:
+def _fig7_expand(spec: ExperimentSpec) -> List[PairConfig]:
     messages = spec.param("messages", 20)
-    return [{"series": scenario.cluster.flavor, "size": size,
-             "messages": max(3, min(messages, (1 << 22) // max(size, 1)))}
-            for scenario in spec.scenarios
-            for size in _sweep_sizes(scenario)]
+    return _sweep_configs(spec, "bandwidth", lambda size: max(
+        3, min(messages, (1 << 22) // max(size, 1))))
 
 
-def _fig7_run_one(config: Dict[str, Any]) -> Dict[str, Any]:
-    from ..cluster import build_cluster
-    from ..workloads import run_allsize
-
-    result = run_allsize(build_cluster(2, flavor=config["series"]),
-                         config["size"], messages=config["messages"])
-    return {"series": config["series"], "x": config["size"],
-            "y": result.bandwidth_mb_s}
+def _fig8_expand(spec: ExperimentSpec) -> List[PairConfig]:
+    iterations = spec.param("iterations", 25)
+    return _sweep_configs(spec, "latency", lambda size: iterations)
 
 
-def _fig7_aggregate(spec, outcomes) -> str:
-    from ..analysis import render_ascii, series_from_points, to_csv
+def _sweep_aggregate(title: str, unit: str):
+    def aggregate(spec, outcomes) -> str:
+        from ..analysis import render_ascii, series_from_points, to_csv
 
-    curves = series_from_points(outcomes)
-    return render_ascii(curves, "Figure 7. Bandwidth GM vs FTGM",
-                        "message length (bytes)", "MB/s") \
-        + "\n\n" + to_csv(curves, "bytes")
+        curves = series_from_points(outcomes)
+        return render_ascii(curves, title, "message length (bytes)", unit) \
+            + "\n\n" + to_csv(curves, "bytes")
+    return aggregate
 
 
 register(Experiment(
@@ -636,39 +629,12 @@ register(Experiment(
     build_spec=lambda params: _sweep_spec(
         "fig7", _FIG7_SIZES, "messages", _get(params, "messages", 20)),
     expand=_fig7_expand,
-    run_one=_fig7_run_one,
-    aggregate=_fig7_aggregate,
+    resume=resume_point,
+    aggregate=_sweep_aggregate("Figure 7. Bandwidth GM vs FTGM", "MB/s"),
     render=_identity,
     options=(Option("messages", "--messages", int, 20,
                     "messages per size"),),
 ))
-
-
-def _fig8_expand(spec: ExperimentSpec) -> List[Dict[str, Any]]:
-    iterations = spec.param("iterations", 25)
-    return [{"series": scenario.cluster.flavor, "size": size,
-             "iterations": iterations}
-            for scenario in spec.scenarios
-            for size in _sweep_sizes(scenario)]
-
-
-def _fig8_run_one(config: Dict[str, Any]) -> Dict[str, Any]:
-    from ..cluster import build_cluster
-    from ..workloads import run_pingpong
-
-    result = run_pingpong(build_cluster(2, flavor=config["series"]),
-                          config["size"], iterations=config["iterations"])
-    return {"series": config["series"], "x": config["size"],
-            "y": result.half_rtt_us}
-
-
-def _fig8_aggregate(spec, outcomes) -> str:
-    from ..analysis import render_ascii, series_from_points, to_csv
-
-    curves = series_from_points(outcomes)
-    return render_ascii(curves, "Figure 8. Latency GM vs FTGM",
-                        "message length (bytes)", "half-RTT (us)") \
-        + "\n\n" + to_csv(curves, "bytes")
 
 
 register(Experiment(
@@ -677,8 +643,9 @@ register(Experiment(
     build_spec=lambda params: _sweep_spec(
         "fig8", _FIG8_SIZES, "iterations", _get(params, "iterations", 25)),
     expand=_fig8_expand,
-    run_one=_fig8_run_one,
-    aggregate=_fig8_aggregate,
+    resume=resume_point,
+    aggregate=_sweep_aggregate("Figure 8. Latency GM vs FTGM",
+                               "half-RTT (us)"),
     render=_identity,
     options=(Option("iterations", "--iterations", int, 25,
                     "ping-pong iterations"),),
@@ -705,19 +672,10 @@ def _fig45_spec(params: Dict[str, Any]) -> ExperimentSpec:
             for name, figure, flavor in _FIG45_CASES))
 
 
-def _fig45_expand(spec: ExperimentSpec) -> List[Dict[str, Any]]:
-    return [{"name": name, "figure": figure, "flavor": flavor}
-            for name, figure, flavor in _FIG45_CASES]
-
-
-def _fig45_run_one(config: Dict[str, Any]) -> Dict[str, Any]:
-    from ..faults.scenarios import run_figure4, run_figure5
-
-    if config["figure"] == 4:
-        bad = run_figure4(config["flavor"]).duplicate
-    else:
-        bad = run_figure5(config["flavor"]).lost
-    return {"name": config["name"], "bad": bool(bad)}
+def _fig45_expand(spec: ExperimentSpec) -> List[FigureConfig]:
+    return [FigureConfig(run_id, name, figure,
+                         ClusterSpec(n_nodes=2, flavor=flavor))
+            for run_id, (name, figure, flavor) in enumerate(_FIG45_CASES)]
 
 
 def _fig45_aggregate(spec, outcomes) -> str:
@@ -730,80 +688,7 @@ register(Experiment(
     help="duplicate/lost scenarios",
     build_spec=_fig45_spec,
     expand=_fig45_expand,
-    run_one=_fig45_run_one,
+    resume=resume_figure,
     aggregate=_fig45_aggregate,
     render=_identity,
-))
-
-
-# -- perf: simulation-stack microbenchmarks ------------------------------------
-
-
-def _perf_spec(params: Dict[str, Any]) -> ExperimentSpec:
-    from .perfbench import BENCH_NAMES
-
-    return ExperimentSpec(
-        experiment="perf", seed=2003, runs=len(BENCH_NAMES),
-        params=freeze_params({
-            "campaign_runs": _get(params, "campaign_runs", 200),
-            "campaign_workers": _get(params, "campaign_workers", 1),
-            "quick": bool(_get(params, "quick", False)),
-        }))
-
-
-def _perf_expand(spec: ExperimentSpec) -> List[Dict[str, Any]]:
-    from .perfbench import BENCH_NAMES
-
-    return [{"bench": name,
-             "quick": spec.param("quick", False),
-             "campaign_runs": spec.param("campaign_runs", 200),
-             "campaign_workers": spec.param("campaign_workers", 1)}
-            for name in BENCH_NAMES]
-
-
-def _perf_run_one(config: Dict[str, Any]) -> Dict[str, Any]:
-    from .perfbench import run_bench
-
-    return run_bench(config)
-
-
-def _perf_aggregate(spec, outcomes) -> Dict[str, Any]:
-    from .perfbench import BENCH_NAMES, environment_info
-
-    results = dict(zip(BENCH_NAMES, outcomes))
-    results.update(environment_info())
-    return results
-
-
-def _perf_render(results: Dict[str, Any]) -> str:
-    from .perfbench import render_results
-
-    return render_results(results)
-
-
-def _perf_summary(results: Dict[str, Any]) -> Dict[str, Any]:
-    return {
-        "kernel_timeouts_eps": results["kernel_timeouts"]["events_per_sec"],
-        "kernel_wakeups_eps": results["kernel_wakeups"]["events_per_sec"],
-        "lanai_instr_per_sec":
-            results["lanai_interpreter"]["instr_per_sec"],
-        "campaign_runs_per_sec": results["campaign"]["runs_per_sec"],
-    }
-
-
-register(Experiment(
-    name="perf",
-    help="simulation-stack microbenchmarks (timing, not paper data)",
-    build_spec=_perf_spec,
-    expand=_perf_expand,
-    run_one=_perf_run_one,
-    aggregate=_perf_aggregate,
-    render=_perf_render,
-    summarize=_perf_summary,
-    options=(Option("campaign_runs", "--campaign-runs", int, 200,
-                    "campaign benchmark size"),
-             Option("campaign_workers", "--campaign-workers", int, 1,
-                    "campaign benchmark worker count"),
-             Option("quick", "--quick", bool, False,
-                    "10x smaller sizes (CI smoke)")),
 ))

@@ -3,7 +3,7 @@
 A registered :class:`Experiment` bundles everything the engine needs to
 run one of the paper's studies end to end: how to build a spec from CLI
 parameters, how to expand a spec into hermetic per-run configs, the
-per-run function, aggregation/rendering of the outcome list, the
+per-run ``resume``, aggregation/rendering of the outcome list, the
 outcome decoder for journals and result files, and the CLI option
 declarations that make each experiment a thin registration instead of
 a hand-built subcommand.
@@ -58,11 +58,11 @@ class Experiment:
     """One registered experiment; see module docstring for the fields'
     roles in the engine.
 
-    A campaign registers ``resume`` instead of ``run_one``; that is the
-    whole campaign protocol.  Its configs carry the cluster they run on
-    as ``config.cluster`` (a :class:`~repro.exp.spec.ClusterSpec`), and
-    ``resume(cluster, config, pause_at=None)`` injects, observes and
-    classifies on the booted cluster, or with ``pause_at`` stops at that
+    Every experiment registers ``resume``; that is the whole run
+    protocol.  Its configs carry the cluster they run on as
+    ``config.cluster`` (a :class:`~repro.exp.spec.ClusterSpec`), and
+    ``resume(cluster, config, pause_at=None)`` drives the run on the
+    booted cluster and classifies it, or with ``pause_at`` stops at that
     simulated instant and returns a :class:`~repro.ckpt.pause.PausedRun`
     (the hook behind ``repro snapshot``).  The rest is derived:
 
@@ -71,9 +71,6 @@ class Experiment:
     * ``boot_family`` is ``config.cluster``: runs with equal clusters
       share one boot on the fork-server;
     * ``run_one`` is ``resume(boot(config), config)``.
-
-    Experiments with no ``resume`` register ``run_one`` and leave
-    ``boot`` and ``boot_family`` None.
     """
 
     name: str
@@ -82,23 +79,21 @@ class Experiment:
     expand: Callable[[ExperimentSpec], List[Any]]
     aggregate: Callable[[ExperimentSpec, List[Any]], Any]
     render: Callable[[Any], str]
-    run_one: Optional[Callable[[Any], Any]] = None
-    resume: Optional[Callable[..., Any]] = None
+    resume: Callable[..., Any]
     decode: Optional[Callable[[Any], Any]] = None
     summarize: Optional[Callable[[Any], Dict[str, Any]]] = None
     options: Tuple[Option, ...] = ()
     progress_every: int = 0           # 0 = no progress lines on stderr
-    boot: Optional[Callable[[Any], Any]] = field(default=None, init=False)
-    boot_family: Optional[Callable[[Any], Any]] = field(default=None,
-                                                        init=False)
+    boot: Callable[[Any], Any] = field(init=False)
+    boot_family: Callable[[Any], Any] = field(init=False)
+    run_one: Callable[[Any], Any] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.resume is not None:
-            from ..cluster import boot_run
+        from ..cluster import boot_run
 
-            self.boot = boot_run
-            self.boot_family = attrgetter("cluster")
-            self.run_one = partial(_boot_and_resume, boot_run, self.resume)
+        self.boot = boot_run
+        self.boot_family = attrgetter("cluster")
+        self.run_one = partial(_boot_and_resume, boot_run, self.resume)
 
 
 _REGISTRY: Dict[str, Experiment] = {}

@@ -7,10 +7,10 @@ reported as **monotonic completed-count ticks** — ``1, 2, ..., N``
 exactly once each — under ``workers=1`` and ``workers>1`` alike.
 There is one multi-process mechanism, the **fork-server**: a server
 process boots once per scenario family and each run is an ``os.fork()``
-copy-on-write child.  Campaigns, whose registered ``resume`` gives
-them a :class:`ForkBoot` (a seed-independent shared boot prefix plus a
-per-run resume), amortize identical cluster bring-up across hundreds of
-runs that way; a plain runner rides the same server through a null boot.  Either is
+copy-on-write child.  An experiment handed a :class:`ForkBoot` (a
+seed-independent shared boot prefix plus a per-run resume) amortizes
+identical cluster bring-up across hundreds of runs that way; a plain
+runner rides the same server through a null boot.  Either is
 byte-identical to running every config in-process.
 
 :func:`run_experiment` drives a whole declarative experiment: expand the
@@ -533,10 +533,14 @@ def run_experiment(spec: ExperimentSpec, *, workers: int = 1,
     uninterrupted run.  The journal file is left in place on completion
     so a finished campaign re-invokes as a pure cache hit.
 
-    Experiments registered with a boot/resume split hand it to
-    :func:`run_many` as the ``fork_boot``; ``forkserver=False`` (the
-    CLI's ``--no-forkserver``) withholds it, so every run boots its own
-    cluster — in-process at ``workers=1`` (see the table there).
+    Cluster size picks the executor, once per spec: with ``workers > 1``
+    or any config's ``cluster.n_nodes`` at or above
+    :data:`~repro.cluster.LAZY_AUTO_THRESHOLD`, the experiment's boot and
+    ``resume`` go to :func:`run_many` as the ``fork_boot`` (one shared
+    boot per family on the fork-server); otherwise every run boots its
+    own cluster in-process, which is faster and lighter for the small
+    clusters.  ``forkserver=False`` withholds the ``fork_boot`` always
+    (see the table there).
 
     ``telemetry`` collects a per-run :class:`MetricsSnapshot` and merges
     them (deterministically — the merge is commutative and runs fold in
@@ -561,6 +565,7 @@ def run_experiment(spec: ExperimentSpec, *, workers: int = 1,
     restored instant, and computes the remaining runs normally — the
     combined result is byte-identical to a cold-boot campaign.
     """
+    from ..cluster import LAZY_AUTO_THRESHOLD
     from .registry import get_experiment
 
     experiment = get_experiment(spec.experiment)
@@ -572,11 +577,12 @@ def run_experiment(spec: ExperimentSpec, *, workers: int = 1,
     if telemetry_on:
         runner = partial(_telemetry_scope, experiment.run_one,
                          telemetry, trace, sample_every, flight_dir)
-        if resume is not None:
-            resume = partial(_telemetry_scope, experiment.resume,
-                             telemetry, trace, sample_every, flight_dir)
+        resume = partial(_telemetry_scope, experiment.resume,
+                         telemetry, trace, sample_every, flight_dir)
     fork_boot = None
-    if forkserver and experiment.resume is not None:
+    if forkserver and (workers > 1 or any(
+            config.cluster.n_nodes >= LAZY_AUTO_THRESHOLD
+            for config in configs)):
         fork_boot = ForkBoot(family=experiment.boot_family,
                              boot=experiment.boot, resume=resume)
     completed: Dict[int, Any] = {}

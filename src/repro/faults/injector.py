@@ -23,6 +23,7 @@ from typing import Optional
 
 from ..ckpt.pause import drive_run
 from ..cluster import boot_run
+from ..errors import GmError, HostCrashed
 from ..exp.spec import ClusterSpec
 from ..obs.harvest import harvest_cluster
 from ..payload import Payload
@@ -147,9 +148,9 @@ def resume_injection(cluster, config: InjectionConfig,
             try:
                 yield from port.send(expected[i], 1, 2, callback=make_cb(i),
                                      context=i)
-            except Exception:
-                # Not only GmError: a host crash interrupts the sender
-                # inside send() with HostCrashed.
+            except (GmError, HostCrashed):
+                # A host crash interrupts the sender inside send() with
+                # HostCrashed; anything else is a bug and must surface.
                 state["sender_alive"] = False
                 return
             # Poll so callbacks/FAULT_DETECTED are serviced; pace the
@@ -230,6 +231,6 @@ def resume_injection(cluster, config: InjectionConfig,
         harvest_cluster(cluster, fault_at=state["injected_at"])
         return outcome.finalize()
 
-    return drive_run(cluster, config, finish,
+    return drive_run(cluster, finish,
                      horizon=config.observe_horizon_us, slice_us=1_000.0,
                      done=_done, pause_at=pause_at)

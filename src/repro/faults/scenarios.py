@@ -5,40 +5,61 @@ transit; after recovery the resent message must not be accepted twice.
 Figure 5 (lost messages): plain GM ACKs before the receive DMA; a crash
 in that window loses the message while the sender believes it arrived.
 
-Each runner returns a small result object; the tests assert the bugs
-REPRODUCE under plain GM + naive reload and are ABSENT under FTGM, and
-the Fig. 4/5 benchmark prints both sides.
+Each runner drives one booted pair (GM or FTGM, from the cluster's
+flavor) through its figure's choreography — open, crash, wait, reload,
+resend — as one process on the event wheel, and returns a small result
+object; the tests assert the bugs REPRODUCE under plain GM + naive
+reload and are ABSENT under FTGM.  :func:`resume_figure` is the
+registered ``resume`` of ``fig45``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-from ..cluster import build_cluster
+from ..ckpt.pause import drive_run, map_outcome
 from ..errors import GmError
+from ..exp.spec import ClusterSpec
 from ..payload import Payload
 from .naive import naive_reload
 
-__all__ = ["Fig4Result", "Fig5Result", "run_figure4", "run_figure5"]
+__all__ = ["FigureConfig", "Fig4Result", "Fig5Result", "run_figure4",
+           "run_figure5", "resume_figure"]
+
+#: How often the choreography re-checks a crash it waits for.
+_POLL_US = 1.0
 
 
-def _run_until(cluster, predicate, limit=120_000_000.0):
-    sim = cluster.sim
-    deadline = sim.now + limit
-    while not predicate() and sim.peek() <= deadline:
-        sim.step()
-    return predicate()
+@dataclass(frozen=True)
+class FigureConfig:
+    """One Fig. 4 or Fig. 5 scenario on a GM or FTGM pair."""
+
+    run_id: int
+    name: str
+    figure: int                 # 4 or 5
+    cluster: ClusterSpec
+    seed: int = 0
 
 
-def _open(cluster, node, port_id):
-    box = {}
+def _until(sim, predicate):
+    """Process step: wait until ``predicate()`` holds."""
+    while not predicate():
+        yield sim.timeout(_POLL_US)
 
-    def opener():
-        box["port"] = yield from cluster[node].driver.open_port(port_id)
 
-    cluster[node].host.spawn(opener(), "open")
-    assert _run_until(cluster, lambda: "port" in box)
-    return box["port"]
+def _drive(cluster, scenario, state, pause_at, name):
+    def finish():
+        if state["result"] is None:
+            raise RuntimeError("%s scenario did not finish" % name)
+        return state["result"]
+
+    cluster.sim.spawn(scenario(), name)
+    return drive_run(cluster, finish,
+                     horizon=cluster.sim.now + 120_000_000.0,
+                     slice_us=1_000.0,
+                     done=lambda: state["result"] is not None,
+                     pause_at=pause_at)
 
 
 @dataclass
@@ -52,50 +73,55 @@ class Fig4Result:
         return self.deliveries_of_msg5 > 1
 
 
-def run_figure4(flavor: str) -> Fig4Result:
+def run_figure4(cluster, pause_at: Optional[float] = None):
     """Sender crash with ACK in transit, then recovery + resend."""
-    cluster = build_cluster(2, flavor=flavor)
+    flavor = cluster.flavor
     sim = cluster.sim
-    sport = _open(cluster, 0, 1)
-    rport = _open(cluster, 1, 2)
-    state = {"recv": [], "cb": []}
+    state = {"recv": [], "cb": [], "result": None}
+    completed = sim.event()
 
-    def receiver():
+    def on_sent(outcome):
+        state["cb"].append(outcome)
+        if not completed.triggered:
+            completed.succeed()
+
+    def receiver(rport):
         for _ in range(10):
             yield from rport.provide_receive_buffer(256)
         while True:
             event = yield from rport.receive_message()
             state["recv"].append(event.payload.data)
 
-    def sender():
+    def sender(sport):
         for i in range(5):
             yield from sport.send_and_wait(
                 Payload.from_bytes(b"msg-%d" % i), 1, 2)
         cluster[0].mcp.hang_before_ack_processing = True
         yield from sport.send(Payload.from_bytes(b"msg-5"), 1, 2,
-                              callback=lambda o: state["cb"].append(o))
+                              callback=on_sent)
         while not state["cb"]:
             if flavor == "gm" and cluster[0].mcp.hung:
                 return
             yield from sport.receive(timeout=1_000.0)
 
-    cluster[1].host.spawn(receiver(), "r")
-    cluster[0].host.spawn(sender(), "s")
-    assert _run_until(cluster,
-                      lambda: cluster[0].mcp.hung or bool(state["cb"]))
-
-    if flavor == "gm":
-        def recover_and_resend():
+    def scenario():
+        sport = yield from cluster[0].driver.open_port(1)
+        rport = yield from cluster[1].driver.open_port(2)
+        cluster[1].host.spawn(receiver(rport), "r")
+        cluster[0].host.spawn(sender(sport), "s")
+        yield from _until(sim, lambda: cluster[0].mcp.hung or state["cb"])
+        if flavor == "gm":
             yield from naive_reload(cluster[0].driver)
             yield from sport.send_and_wait(Payload.from_bytes(b"msg-5"),
                                            1, 2)
             state["cb"].append("resent-ok")
+        elif not state["cb"]:
+            yield completed         # FTGM recovers and completes the send
+        yield sim.timeout(100_000.0)
+        state["result"] = Fig4Result(flavor, state["recv"].count(b"msg-5"),
+                                     bool(state["cb"]))
 
-        cluster[0].host.spawn(recover_and_resend(), "naive")
-    assert _run_until(cluster, lambda: bool(state["cb"]))
-    sim.run(until=sim.now + 100_000.0)
-    return Fig4Result(flavor, state["recv"].count(b"msg-5"),
-                      bool(state["cb"]))
+    return _drive(cluster, scenario, state, pause_at, "figure 4")
 
 
 @dataclass
@@ -109,25 +135,19 @@ class Fig5Result:
         return self.sender_told_success and not self.receiver_got_message
 
 
-def run_figure5(flavor: str) -> Fig5Result:
+def run_figure5(cluster, pause_at: Optional[float] = None):
     """Receiver crash in the ACK/DMA commit window."""
-    cluster = build_cluster(2, flavor=flavor)
+    flavor = cluster.flavor
     sim = cluster.sim
-    sport = _open(cluster, 0, 1)
-    rport = _open(cluster, 1, 2)
-    state = {"recv": [], "send_ok": None}
-    if flavor == "gm":
-        cluster[1].mcp.hang_after_ack_before_dma = True
-    else:
-        cluster[1].mcp.hang_after_dma_before_ack = True
+    state = {"recv": [], "send_ok": None, "result": None}
 
-    def receiver():
+    def receiver(rport):
         yield from rport.provide_receive_buffer(256)
         while True:
             event = yield from rport.receive_message()
             state["recv"].append(event.payload.data)
 
-    def sender():
+    def sender(sport):
         try:
             yield from sport.send_and_wait(
                 Payload.from_bytes(b"precious"), 1, 2)
@@ -135,18 +155,35 @@ def run_figure5(flavor: str) -> Fig5Result:
         except GmError:
             state["send_ok"] = False
 
-    cluster[1].host.spawn(receiver(), "r")
-    cluster[0].host.spawn(sender(), "s")
-    assert _run_until(cluster,
-                      lambda: cluster[1].mcp.hung or bool(state["recv"]))
+    def scenario():
+        sport = yield from cluster[0].driver.open_port(1)
+        rport = yield from cluster[1].driver.open_port(2)
+        if flavor == "gm":
+            cluster[1].mcp.hang_after_ack_before_dma = True
+        else:
+            cluster[1].mcp.hang_after_dma_before_ack = True
+        cluster[1].host.spawn(receiver(rport), "r")
+        sending = cluster[0].host.spawn(sender(sport), "s")
+        yield from _until(sim, lambda: cluster[1].mcp.hung or state["recv"])
+        if flavor == "gm":
+            cluster[1].host.spawn(naive_reload(cluster[1].driver), "naive")
+            yield sim.timeout(30_000_000.0)
+        else:
+            yield sending           # FTGM recovers and completes the send
+            yield from _until(sim, lambda: state["recv"])
+        state["result"] = Fig5Result(flavor, bool(state["send_ok"]),
+                                     bool(state["recv"]))
 
-    if flavor == "gm":
-        def recover():
-            yield from naive_reload(cluster[1].driver)
+    return _drive(cluster, scenario, state, pause_at, "figure 5")
 
-        cluster[1].host.spawn(recover(), "naive")
-        sim.run(until=sim.now + 30_000_000.0)
-    else:
-        _run_until(cluster, lambda: bool(state["recv"])
-                   and state["send_ok"] is not None)
-    return Fig5Result(flavor, bool(state["send_ok"]), bool(state["recv"]))
+
+def resume_figure(cluster, config: FigureConfig, pause_at=None):
+    """Run ``config``'s figure on the ``boot_run`` cluster: did the bug
+    (a duplicate for Fig. 4, a lost message for Fig. 5) show?"""
+    if config.figure == 4:
+        return map_outcome(run_figure4(cluster, pause_at),
+                           lambda result: {"name": config.name,
+                                           "bad": result.duplicate})
+    return map_outcome(run_figure5(cluster, pause_at),
+                       lambda result: {"name": config.name,
+                                       "bad": result.lost})

@@ -41,6 +41,7 @@ class FtgmPort(Port):
         self.recoveries = 0
         self.route_changes = 0
         self.recovery_times: list = []   # per-handler durations (us)
+        self.recovered_at: list = []     # ...and their end instants (us)
 
     # -- event sink ----------------------------------------------------------------
 
@@ -178,5 +179,6 @@ class FtgmPort(Port):
         yield from self.host.cpu_execute(remainder, "recovery")
         self.recoveries += 1
         self.recovery_times.append(self.sim.now - started)
+        self.recovered_at.append(self.sim.now)
         tracer.emit(self.sim.now, source, "port_recovery_done",
                     took=self.sim.now - started)

@@ -155,7 +155,7 @@ def resume_slo_chaos(cluster, config: SloChaosConfig, pause_at=None):
         )
 
     result = start_load(cluster, load_config, schedule)
-    return drive_run(cluster, config, lambda: grade(result),
+    return drive_run(cluster, lambda: grade(result),
                      horizon=result.horizon, slice_us=10_000.0,
                      pause_at=pause_at,
                      extras={"plane": plane} if plane is not None else None)

@@ -386,5 +386,5 @@ def run_load(cluster, config: LoadConfig,
     """Drive one load schedule against a booted cluster to its horizon
     and return the raw observations (see :func:`start_load`)."""
     result = start_load(cluster, config, schedule)
-    return drive_run(cluster, config, lambda: result,
+    return drive_run(cluster, lambda: result,
                      horizon=result.horizon, slice_us=10_000.0)

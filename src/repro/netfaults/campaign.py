@@ -370,7 +370,7 @@ def resume_netfault(cluster, config: NetFaultConfig,
         harvest_cluster(cluster, fault_at=fault_at)
         return outcome.finalize()
 
-    return drive_run(cluster, config, finish, horizon=horizon,
+    return drive_run(cluster, finish, horizon=horizon,
                      slice_us=1_000.0, done=_done, pause_at=pause_at,
                      extras={"plane": plane})
 

@@ -168,10 +168,9 @@ def write_flight_dumps(flight_dir: str, spec,
     """Parent-side dump writer: one ``.flight.json`` per triggered run.
 
     Each dump embeds a ``ckpt`` snapshot of the run at its anomaly
-    instant, captured by the standard pause-replay — experiments
-    without a pauseable boot/resume split (or anomalies before t=0)
-    degrade to a ring-only dump with a ``snapshot_error`` note rather
-    than losing the ring.
+    instant, captured by the standard pause-replay — a snapshot that
+    fails (or an anomaly before t=0) degrades to a ring-only dump with
+    a ``snapshot_error`` note rather than losing the ring.
     """
     os.makedirs(flight_dir, exist_ok=True)
     from ..ckpt.snapshot import take_snapshot

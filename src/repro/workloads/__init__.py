@@ -1,18 +1,25 @@
 """Measurement workloads: ping-pong, allsize streaming, utilization."""
 
-from .allsize import BandwidthResult, allsize_sweep, run_allsize
-from .pingpong import PingPongResult, pingpong_sweep, run_pingpong
-from .recovery import RecoveryExperiment, run_recovery_experiment
+from .allsize import BandwidthResult, run_allsize
+from .pair import PairConfig, resume_pair, resume_point
+from .pingpong import PingPongResult, run_pingpong
+from .recovery import (
+    RecoveryConfig,
+    RecoveryExperiment,
+    run_recovery_experiment,
+)
 from .utilization import UtilizationResult, measure_utilization
 
 __all__ = [
     "BandwidthResult",
+    "PairConfig",
     "PingPongResult",
+    "RecoveryConfig",
     "RecoveryExperiment",
     "UtilizationResult",
-    "allsize_sweep",
     "measure_utilization",
-    "pingpong_sweep",
+    "resume_pair",
+    "resume_point",
     "run_allsize",
     "run_pingpong",
     "run_recovery_experiment",

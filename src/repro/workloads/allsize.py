@@ -13,14 +13,15 @@ per-direction goodput over the measurement interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Optional
 
-from ..cluster import MyrinetCluster, build_cluster
+from ..ckpt.pause import drive_run
+from ..cluster import MyrinetCluster
 from ..gm import constants as C
 from ..payload import Payload
-from .pair import check_pair
+from .pair import SLICE_US, check_pair
 
-__all__ = ["BandwidthResult", "run_allsize", "allsize_sweep"]
+__all__ = ["BandwidthResult", "run_allsize"]
 
 
 @dataclass
@@ -39,10 +40,12 @@ class BandwidthResult:
 
 
 def run_allsize(cluster: MyrinetCluster, size: int, messages: int = 50,
-                a: int = 0, b: int = 1) -> BandwidthResult:
+                a: int = 0, b: int = 1, pause_at: Optional[float] = None):
     """Bidirectional stream of ``messages`` x ``size`` bytes each way.
 
-    ``a``/``b`` may be any two distinct nodes of the cluster.
+    ``a``/``b`` may be any two distinct nodes of the cluster.  Returns a
+    :class:`BandwidthResult`, or with ``pause_at`` a
+    :class:`~repro.ckpt.pause.PausedRun` that finishes into one.
     """
     check_pair(cluster, a, b)
     sim = cluster.sim
@@ -85,20 +88,13 @@ def run_allsize(cluster: MyrinetCluster, size: int, messages: int = 50,
 
     cluster[a].host.spawn(side(a, b, 3), "allsize-a")
     cluster[b].host.spawn(side(b, a, 3), "allsize-b")
-    deadline = sim.now + 600_000_000.0
-    while state["done"] < 2 and sim.peek() <= deadline:
-        sim.step()
-    if state["done"] < 2:
-        raise RuntimeError("allsize did not finish (size=%d)" % size)
-    elapsed = state["end"] - state["start"]
-    return BandwidthResult(size, messages, elapsed,
-                           messages * size)
 
+    def finish() -> BandwidthResult:
+        if state["done"] < 2:
+            raise RuntimeError("allsize did not finish (size=%d)" % size)
+        return BandwidthResult(size, messages, state["end"] - state["start"],
+                               messages * size)
 
-def allsize_sweep(flavor: str, sizes: List[int], messages: int = 40,
-                  seed: int = 0) -> List[BandwidthResult]:
-    results = []
-    for size in sizes:
-        cluster = build_cluster(2, flavor=flavor, seed=seed)
-        results.append(run_allsize(cluster, size, messages))
-    return results
+    return drive_run(cluster, finish, horizon=sim.now + 600_000_000.0,
+                     slice_us=SLICE_US, done=lambda: state["done"] >= 2,
+                     pause_at=pause_at)

@@ -1,17 +1,77 @@
-"""Validation shared by workloads that name explicit cluster nodes.
+"""What the pair workloads share: node validation and the run config.
 
 The measurement workloads historically assumed the paper's 2-node
 testbed; with multi-switch topologies they take explicit ``a``/``b``
 node ids — and the load plane takes arbitrary fan-in target sets — so a
 bad node id should fail loudly up front instead of deep in the port
 machinery.
+
+:class:`PairConfig` is one Table 2 / Fig. 7 / Fig. 8 measurement on a
+booted pair; :func:`resume_pair` runs it (the registered ``resume`` of
+``table2``) and :func:`resume_point` turns it into a figure point (that
+of ``fig7`` and ``fig8``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
-__all__ = ["check_nodes", "check_pair", "fan_in_pairs"]
+from ..ckpt.pause import map_outcome
+from ..exp.spec import ClusterSpec
+
+__all__ = ["SLICE_US", "PairConfig", "resume_pair", "resume_point",
+           "check_nodes", "check_pair"]
+
+#: Drive slice of the pair workloads: how far past completion a run may
+#: simulate before its ``done`` poll ends it (every result is frozen by
+#: then, so only wall time depends on it).
+SLICE_US = 100.0
+
+
+@dataclass(frozen=True)
+class PairConfig:
+    """One measurement on a booted pair.
+
+    ``kind`` picks the workload: ``bandwidth`` (:func:`run_allsize`,
+    ``count`` messages each way), ``latency`` (:func:`run_pingpong`,
+    ``count`` iterations) or ``util`` (:func:`measure_utilization`,
+    ``count`` messages one way); ``size`` is the message length.
+    """
+
+    run_id: int
+    cluster: ClusterSpec
+    kind: str
+    size: int
+    count: int
+    seed: int = 0
+
+
+def resume_pair(cluster, config: PairConfig, pause_at=None):
+    """Run ``config`` on the ``boot_run`` cluster; its raw result."""
+    from .allsize import run_allsize
+    from .pingpong import run_pingpong
+    from .utilization import measure_utilization
+
+    if config.kind == "bandwidth":
+        return run_allsize(cluster, config.size, messages=config.count,
+                           pause_at=pause_at)
+    if config.kind == "latency":
+        return run_pingpong(cluster, config.size, iterations=config.count,
+                            pause_at=pause_at)
+    return measure_utilization(cluster, messages=config.count,
+                               size=config.size, pause_at=pause_at)
+
+
+def resume_point(cluster, config: PairConfig, pause_at=None):
+    """One sweep point, ``{"series": flavor, "x": bytes, "y": value}``:
+    MB/s for ``bandwidth``, half round trip (us) for ``latency``."""
+    def point(result):
+        y = result.bandwidth_mb_s if config.kind == "bandwidth" \
+            else result.half_rtt_us
+        return {"series": config.cluster.flavor, "x": config.size, "y": y}
+
+    return map_outcome(resume_pair(cluster, config, pause_at), point)
 
 
 def check_nodes(cluster, nodes: Iterable[int],
@@ -44,36 +104,3 @@ def check_pair(cluster, a: int, b: int) -> None:
         raise ValueError(
             "workload needs two distinct nodes, got a == b == %d" % a)
 
-
-def fan_in_pairs(cluster, hotspot: int, n_clients: int,
-                 stride: int = 1) -> List[Tuple[int, int]]:
-    """Directed (client, hotspot) pairs converging on one node.
-
-    The fan-in shape the load plane's ``hotspot_node`` weighting
-    approximates stochastically, as an explicit deterministic pair
-    list: ``n_clients`` distinct senders, picked by walking the node
-    ids from the hotspot in ``stride`` steps (mod cluster size) —
-    ``stride = hosts-per-rack`` spreads the clients one per rack, which
-    makes every flow cross the spine/core stage.
-    """
-    n = len(cluster)
-    check_nodes(cluster, (hotspot,), names=("hotspot",))
-    if stride < 1:
-        raise ValueError("stride must be >= 1, got %d" % stride)
-    if not 1 <= n_clients < n:
-        raise ValueError(
-            "fan-in of %d clients impossible with %d nodes"
-            % (n_clients, n))
-    clients: List[int] = []
-    taken = {hotspot}
-    node = hotspot
-    while len(clients) < n_clients:
-        node = (node + stride) % n
-        while node in taken:
-            # Stride orbit closed (gcd(stride, n) > 1) or revisited a
-            # client; slide to the next free id — n_clients < n
-            # guarantees one exists.
-            node = (node + 1) % n
-        taken.add(node)
-        clients.append(node)
-    return [(client, hotspot) for client in clients]

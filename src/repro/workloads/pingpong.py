@@ -8,13 +8,14 @@ for each message length plotted as half of the average round-trip time."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
+from ..ckpt.pause import drive_run
 from ..cluster import MyrinetCluster
 from ..payload import Payload
-from .pair import check_pair
+from .pair import SLICE_US, check_pair
 
-__all__ = ["PingPongResult", "run_pingpong", "pingpong_sweep"]
+__all__ = ["PingPongResult", "run_pingpong"]
 
 
 @dataclass
@@ -33,12 +34,14 @@ class PingPongResult:
 
 
 def run_pingpong(cluster: MyrinetCluster, size: int, iterations: int = 50,
-                 warmup: int = 3, a: int = 0, b: int = 1) -> PingPongResult:
+                 warmup: int = 3, a: int = 0, b: int = 1,
+                 pause_at: Optional[float] = None):
     """Run one ping-pong series on an already-booted cluster.
 
     ``a``/``b`` may be any two distinct nodes — on a multi-switch
     topology, picking nodes on different switches measures cross-fabric
-    latency.
+    latency.  Returns a :class:`PingPongResult`, or with ``pause_at`` a
+    :class:`~repro.ckpt.pause.PausedRun` that finishes into one.
     """
     check_pair(cluster, a, b)
     sim = cluster.sim
@@ -70,23 +73,12 @@ def run_pingpong(cluster: MyrinetCluster, size: int, iterations: int = 50,
     _PONG_PORT = 5
     cluster[b].host.spawn(responder(), "pong")
     cluster[a].host.spawn(initiator(), "ping")
-    deadline = sim.now + 60_000_000.0
-    while not state["done"] and sim.peek() <= deadline:
-        sim.step()
-    if not state["done"]:
-        raise RuntimeError("ping-pong did not finish (size=%d)" % size)
-    return result
 
+    def finish() -> PingPongResult:
+        if not state["done"]:
+            raise RuntimeError("ping-pong did not finish (size=%d)" % size)
+        return result
 
-def pingpong_sweep(flavor: str, sizes: List[int], iterations: int = 30,
-                   seed: int = 0) -> List[PingPongResult]:
-    """One fresh cluster per flavor, reused across all sizes."""
-    from ..cluster import build_cluster
-
-    results = []
-    for size in sizes:
-        # A fresh cluster per size keeps ports/token pools pristine and
-        # runs are independent (the paper also measured per length).
-        cluster = build_cluster(2, flavor=flavor, seed=seed)
-        results.append(run_pingpong(cluster, size, iterations))
-    return results
+    return drive_run(cluster, finish, horizon=sim.now + 60_000_000.0,
+                     slice_us=SLICE_US, done=lambda: state["done"],
+                     pause_at=pause_at)

@@ -4,7 +4,7 @@
 per family, ``os.fork()`` a copy-on-write child per run; a runner with no
 registered boot rides it through a null boot).  Which one runs is pure
 execution strategy, so outcomes, summaries, rendered reports and sampled
-timeseries must be byte-identical across all four rows of the executor
+timeseries must be byte-identical across every row of the executor
 table, at more than one seed — and a fork-server child that dies must
 surface as an error naming its run, never as a hang or a short result.
 """
@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import signal
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,16 +31,17 @@ pytestmark = pytest.mark.skipif(not forkserver_available(),
                                 reason="the fork-server needs os.fork")
 
 # The executor table of run_many's docstring, as run_experiment kwargs.
-# The first row is the reference.
+# The first row is the reference; the default picks its executor by
+# cluster size.  The fork-server at one child, which run_experiment
+# picks only for 16+ nodes, is :func:`_fork_server_one`.
 EXECUTORS = {
     "in-process": {"forkserver": False},
-    "fork-server-1": {"workers": 1},
+    "default": {},
     "fork-server-3": {"workers": 3},
     "null-boot-3": {"workers": 3, "forkserver": False},
 }
 
-# table1/netfaults/slo-chaos register a boot/resume split; table3 does
-# not (and ignores the seed), so every parallel row is the null boot.
+# table3 ignores the seed.
 CASES = [
     ("table1", {"runs": 4}, 2003),
     ("table1", {"runs": 4}, 99),
@@ -51,9 +53,27 @@ CASES = [
 ]
 
 
+def _spec(name, params, seed):
+    return get_experiment(name).build_spec(dict(params, seed=seed))
+
+
 def _run(name, params, seed, **kwargs):
-    spec = get_experiment(name).build_spec(dict(params, seed=seed))
-    return run_experiment(spec, **kwargs)
+    return run_experiment(_spec(name, params, seed), **kwargs)
+
+
+def _fork_server_one(spec):
+    """``run_many`` handed the registered boot at one worker: the
+    fork-server one child at a time, whatever the cluster size."""
+    experiment = get_experiment(spec.experiment)
+    outcomes = run_many(
+        experiment.expand(spec), experiment.run_one,
+        fork_boot=ForkBoot(family=experiment.boot_family,
+                           boot=experiment.boot, resume=experiment.resume))
+    aggregate = experiment.aggregate(spec, outcomes)
+    return SimpleNamespace(
+        outcomes=outcomes, rendered=experiment.render(aggregate),
+        summary=experiment.summarize(aggregate)
+        if experiment.summarize is not None else None)
 
 
 @pytest.mark.parametrize("name,params,seed", CASES,
@@ -61,6 +81,7 @@ def _run(name, params, seed, **kwargs):
 def test_every_executor_yields_the_same_bytes(name, params, seed):
     results = {label: _run(name, params, seed, **kwargs)
                for label, kwargs in EXECUTORS.items()}
+    results["fork-server-1"] = _fork_server_one(_spec(name, params, seed))
     reference = results.pop("in-process")
     for label, result in results.items():
         assert result.outcomes == reference.outcomes, label
@@ -102,7 +123,9 @@ class TestGoldenDocs:
     ], ids=["netfaults", "closfault"])
     @pytest.mark.parametrize("executor", ["in-process", "fork-server-1"])
     def test_rendered_doc_is_pinned(self, name, params, pinned, executor):
-        result = _run(name, params, 2003, **EXECUTORS[executor])
+        spec = _spec(name, params, 2003)
+        result = _fork_server_one(spec) if executor == "fork-server-1" \
+            else run_experiment(spec, forkserver=False)
         assert hashlib.sha256(result.rendered.encode()).hexdigest() \
             == pinned
 

@@ -7,13 +7,15 @@ import pytest
 
 from repro.ckpt.snapshot import restore_snapshot, take_snapshot
 from repro.cli import main
-from repro.exp.registry import all_experiments, experiment_names, \
-    get_experiment
+from repro.exp import runner as runner_module
+from repro.exp.registry import Experiment, all_experiments, \
+    experiment_names, get_experiment
 from repro.exp.results import validate_result
+from repro.exp.runner import run_experiment
 from repro.exp.spec import ExperimentSpec
 
 ALL_VERBS = ("table1", "table2", "table3", "fig7", "fig8", "fig9",
-             "fig45", "effectiveness", "surface", "netfaults", "perf")
+             "fig45", "effectiveness", "surface", "netfaults")
 
 
 class TestRegistry:
@@ -40,6 +42,7 @@ class TestRegistry:
         for experiment in all_experiments():
             assert callable(experiment.build_spec)
             assert callable(experiment.expand)
+            assert callable(experiment.resume)
             assert callable(experiment.run_one)
             assert callable(experiment.aggregate)
             assert callable(experiment.render)
@@ -99,19 +102,34 @@ class TestEngineVerbs:
         assert "use 'repro run table1'" in capsys.readouterr().err
 
 
-CAMPAIGNS = [("table1", {"runs": 1}),
-             ("netfaults", {"runs_per_scenario": 1}),
-             ("closfault", {"scale": "small"}),
-             ("slo-chaos", {"scale": "small"})]
+# Small params for every registered experiment; the test below fails
+# when a newly registered one is missing here.
+PROTOCOL_PARAMS = {
+    "table1": {"runs": 1},
+    "effectiveness": {"runs": 1},
+    "surface": {"runs": 1},
+    "netfaults": {"runs_per_scenario": 1},
+    "closfault": {"scale": "small"},
+    "slo-chaos": {"scale": "small"},
+    "table2": {"iterations": 2},
+    "table3": {},
+    "fig9": {},
+    "fig7": {"messages": 3},
+    "fig8": {"iterations": 2},
+    "fig45": {},
+}
 
 
-@pytest.mark.parametrize("name,params", CAMPAIGNS,
-                         ids=[name for name, _ in CAMPAIGNS])
-def test_campaign_protocol_is_resume_on_the_configs_cluster(name, params):
-    """A campaign registers ``resume``; boot, family, ``run_one`` and the
-    snapshot pause all derive from it and ``config.cluster``."""
+def test_protocol_params_cover_the_registry():
+    assert sorted(PROTOCOL_PARAMS) == sorted(experiment_names())
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOL_PARAMS))
+def test_campaign_protocol_is_resume_on_the_configs_cluster(name):
+    """Every experiment registers ``resume``; boot, family, ``run_one``
+    and the snapshot pause all derive from it and ``config.cluster``."""
     experiment = get_experiment(name)
-    spec = experiment.build_spec(params)
+    spec = experiment.build_spec(PROTOCOL_PARAMS[name])
     config = experiment.expand(spec)[0]
     assert experiment.boot_family(config) == config.cluster
     outcome = experiment.run_one(config)
@@ -120,3 +138,65 @@ def test_campaign_protocol_is_resume_on_the_configs_cluster(name, params):
     paused = restore_snapshot(snapshot)         # verifies the state hash
     assert paused.now == snapshot.at_us
     assert paused.finish() == outcome
+
+
+def test_run_one_is_not_a_registration_parameter():
+    with pytest.raises(TypeError, match="run_one"):
+        Experiment(name="x", help="", build_spec=None, expand=None,
+                   aggregate=None, render=None, resume=None, run_one=None)
+
+
+def test_snapshot_cli_round_trips_a_paper_figure(tmp_path, capsys):
+    out = tmp_path / "fig9.snapshot.json"
+    assert main(["snapshot", "fig9", "--at", "700", "--out", str(out)]) == 0
+    assert "run 0 of fig9 at 700.0 us" in capsys.readouterr().out
+    paused = restore_snapshot(str(out))         # verifies the state hash
+    assert paused.now == 700.0
+    experiment = get_experiment("fig9")
+    config = experiment.expand(experiment.build_spec({}))[0]
+    assert paused.finish() == experiment.run_one(config)
+
+
+class TestExecutorRule:
+    """Cluster size picks the executor: the fork-server only for several
+    workers or clusters of ``LAZY_AUTO_THRESHOLD`` nodes and up."""
+
+    class Stop(Exception):
+        pass
+
+    @pytest.fixture
+    def executor(self, monkeypatch):
+        seen = {}
+
+        def spy(configs, runner, *, workers=1, fork_boot=None, **_kwargs):
+            seen.update(workers=workers, fork_boot=fork_boot)
+            raise self.Stop
+
+        monkeypatch.setattr(runner_module, "run_many", spy)
+
+        def executor_of(name, params, **kwargs):
+            spec = get_experiment(name).build_spec(params)
+            with pytest.raises(self.Stop):
+                run_experiment(spec, **kwargs)
+            return "fork-server" if seen["fork_boot"] is not None \
+                else "in-process"
+        return executor_of
+
+    @pytest.mark.parametrize("name,params", [
+        ("table1", {"runs": 4}),                # 2 nodes
+        ("netfaults", {"runs_per_scenario": 1}),   # 4 nodes
+        ("fig7", {}),
+    ], ids=["2-node", "4-node", "paper-figure"])
+    def test_small_clusters_run_in_process(self, executor, name, params):
+        assert executor(name, params) == "in-process"
+
+    def test_sixteen_nodes_fork(self, executor):
+        assert executor("closfault", {"scale": "small"}) == "fork-server"
+
+    @pytest.mark.parametrize("name", ["table1", "fig8"])
+    def test_several_workers_fork(self, executor, name):
+        assert executor(name, {}, workers=2) == "fork-server"
+
+    def test_forkserver_false_withholds_the_boot(self, executor):
+        assert executor("closfault", {"scale": "small"},
+                        forkserver=False) == "in-process"

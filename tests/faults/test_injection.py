@@ -11,6 +11,7 @@ from repro.faults import (
     classify,
 )
 from repro.faults.outcomes import InjectionOutcome
+from repro.gm.library import Port
 
 run_one = get_experiment("table1").run_one
 
@@ -121,6 +122,32 @@ class TestSingleInjection:
     def test_outcome_records_source_line(self):
         outcome = run_one(InjectionConfig(run_id=0, seed=9, messages=4))
         assert isinstance(outcome.faulting_source_line, str)
+
+
+class TestSenderCatch:
+    """The injection sender treats exactly ``GmError`` and
+    ``HostCrashed`` as the end of its stream; anything else is a bug."""
+
+    # (effectiveness --seed, run index): the runs whose sender a host
+    # crash interrupts inside send().
+    HOST_CRASH_RUNS = ((25, 36), (43, 84), (46, 21), (46, 144), (12, 80))
+
+    @pytest.mark.parametrize("seed,run", HOST_CRASH_RUNS,
+                             ids=["%d-%d" % r for r in HOST_CRASH_RUNS])
+    def test_host_crash_inside_send_is_classified(self, seed, run):
+        experiment = get_experiment("effectiveness")
+        config = experiment.expand(
+            experiment.build_spec({"seed": seed, "runs": run + 1}))[run]
+        assert experiment.run_one(config).category == Category.HOST_CRASH
+
+    def test_any_other_send_error_raises(self, monkeypatch):
+        def send(self, *args, **kwargs):
+            raise RuntimeError("send path bug")
+            yield  # pragma: no cover - a generator, like Port.send
+
+        monkeypatch.setattr(Port, "send", send)
+        with pytest.raises(RuntimeError, match="send path bug"):
+            run_one(InjectionConfig(run_id=0, seed=1, messages=4))
 
 
 class TestCampaign:

@@ -16,20 +16,29 @@ ABSENT under FTGM.  The scenario runners live in
 
 import pytest
 
+from repro.exp.registry import get_experiment
 from repro.faults.scenarios import run_figure4, run_figure5
 from repro.gm.library import Port
 
 
+def _booted(figure, flavor):
+    """The registry's ``fig45`` cluster for one figure x flavor case."""
+    experiment = get_experiment("fig45")
+    config, = [c for c in experiment.expand(experiment.build_spec({}))
+               if c.figure == figure and c.cluster.flavor == flavor]
+    return experiment.boot(config)
+
+
 class TestFigure4Duplicates:
     def test_plain_gm_naive_reload_accepts_duplicate(self):
-        result = run_figure4("gm")
+        result = run_figure4(_booted(4, "gm"))
         # Message 5 was delivered BEFORE the crash (its ACK was in
         # transit) and AGAIN after the naive resend: a duplicate.
         assert result.deliveries_of_msg5 == 2
         assert result.duplicate
 
     def test_ftgm_rejects_duplicate_after_recovery(self):
-        result = run_figure4("ftgm")
+        result = run_figure4(_booted(4, "ftgm"))
         assert result.deliveries_of_msg5 == 1
         assert not result.duplicate
         # And the sender's send completed (callback fired post-recovery).
@@ -38,7 +47,7 @@ class TestFigure4Duplicates:
 
 class TestFigure5LostMessages:
     def test_plain_gm_loses_message_acked_before_dma(self):
-        result = run_figure5("gm")
+        result = run_figure5(_booted(5, "gm"))
         # The sender was told the send succeeded...
         assert result.sender_told_success
         # ...but the receiving application never saw the message.
@@ -46,7 +55,7 @@ class TestFigure5LostMessages:
         assert result.lost
 
     def test_ftgm_delayed_ack_preserves_message(self):
-        result = run_figure5("ftgm")
+        result = run_figure5(_booted(5, "ftgm"))
         assert result.sender_told_success
         assert result.receiver_got_message
         assert not result.lost
@@ -61,4 +70,4 @@ class TestFigure5LostMessages:
 
         monkeypatch.setattr(Port, "send", send)
         with pytest.raises(RuntimeError, match="send path bug"):
-            run_figure5("ftgm")
+            run_figure5(_booted(5, "ftgm"))

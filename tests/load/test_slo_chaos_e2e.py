@@ -54,7 +54,8 @@ class TestByteIdentity:
     @needs_forkserver
     def test_forkserver_matches_spawn(self, seed):
         spawned = run_experiment(_spec(seed), forkserver=False)
-        forked = run_experiment(_spec(seed), forkserver=True)
+        # A 4-node spec forks off a shared boot only with workers > 1.
+        forked = run_experiment(_spec(seed), workers=2)
         assert _doc_bytes(forked) == _doc_bytes(spawned)
 
 

@@ -4,11 +4,15 @@ import pytest
 
 from repro.analysis import Series, render_ascii, to_csv
 from repro.cluster import build_cluster
-from repro.workloads import (
-    measure_utilization,
-    run_allsize,
-    run_pingpong,
-)
+from repro.exp.registry import get_experiment
+from repro.exp.spec import ClusterSpec
+from repro.workloads import PairConfig, run_allsize, run_pingpong
+
+
+def _utilization(flavor, messages):
+    """A Table 2 utilization run through the registry's protocol."""
+    config = PairConfig(0, ClusterSpec(flavor=flavor), "util", 64, messages)
+    return get_experiment("table2").run_one(config)
 
 
 class TestPingPong:
@@ -56,13 +60,13 @@ class TestAllsize:
 
 class TestUtilization:
     def test_gm_matches_paper_costs(self):
-        u = measure_utilization("gm", messages=40)
+        u = _utilization("gm", messages=40)
         assert u.host_send_us == pytest.approx(0.30, abs=0.05)
         assert u.host_recv_us == pytest.approx(0.75, abs=0.05)
         assert u.lanai_total_us == pytest.approx(6.0, abs=0.4)
 
     def test_ftgm_overheads_emerge(self):
-        u = measure_utilization("ftgm", messages=40)
+        u = _utilization("ftgm", messages=40)
         assert u.host_send_us == pytest.approx(0.55, abs=0.05)
         assert u.host_recv_us == pytest.approx(1.15, abs=0.05)
         assert u.lanai_total_us == pytest.approx(6.8, abs=0.4)
