@@ -113,8 +113,8 @@ def _driver_class(flavor):
 #: Clusters at or above this size default to lazy node parking (see
 #: ``repro.gm.mcp``): idle MCPs quiesce off the event wheel entirely.
 #: Below it the historical always-ticking execution is kept, so every
-#: pre-existing (small) experiment stays byte-identical.  REPRO_LAZY=1/0
-#: forces the mode either way.
+#: pre-existing (small) experiment stays byte-identical.
+#: ``build_cluster(lazy=...)`` forces the mode either way.
 LAZY_AUTO_THRESHOLD = 16
 
 
@@ -156,7 +156,7 @@ def build_cluster(n_nodes: int = 2, flavor: str = "gm", seed: int = 0,
     generators (ignored by the small topologies).  Clos/fat-tree
     clusters boot through the hierarchical mapper and, at
     ``LAZY_AUTO_THRESHOLD`` nodes or more, default to lazy node parking
-    (``lazy``/``REPRO_LAZY`` override).
+    (``lazy`` overrides).
     """
     if n_nodes < 2:
         raise ValueError("a cluster needs at least 2 nodes")

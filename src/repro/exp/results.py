@@ -50,7 +50,7 @@ def git_revision(cwd: Optional[str] = None) -> str:
             ["git", "rev-parse", "HEAD"], cwd=cwd, timeout=5,
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, check=True)
         return out.stdout.decode("ascii", "replace").strip() or "unknown"
-    except Exception:
+    except (OSError, subprocess.SubprocessError):
         return "unknown"
 
 

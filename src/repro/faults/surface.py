@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from ..errors import InvalidInstruction
 from ..lanai import isa
 from ..lanai.firmware import Firmware, build_firmware
 from .outcomes import CATEGORY_ORDER, InjectionOutcome
@@ -49,7 +50,7 @@ def classify_bit(firmware: Firmware, bit_offset: int) -> Tuple[str, str]:
     line = firmware.source_line(word_addr)
     try:
         instr = isa.decode(word)
-    except Exception:
+    except InvalidInstruction:
         return FieldKind.IMMEDIATE, line  # data word (none in practice)
     fmt = instr.op.fmt
     if bit_in_word >= 26:

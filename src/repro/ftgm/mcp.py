@@ -132,45 +132,24 @@ class FtgmMcp(Mcp):
 
     # -- lazy parking (watchdog side) ------------------------------------------
 
-    def _park_timers(self) -> None:
-        """Stop IT1 for the parked span.
-
-        A parked MCP does not tick, so a counting IT1 would expire and
-        raise a FATAL for a perfectly healthy idle card.  With IT1
-        stopped the FTD never probes either (its wakeups are IT1-driven),
-        so the whole fault-domain sleeps with the node.
-        """
-        self.nic.timers[1].stop()
-
-    def _replay_windows(self, count: int) -> None:
-        """Each replayed window's L_timer would have re-armed IT1."""
+    def _replay_windows(self, count: int, end: float) -> None:
+        """Each replayed window's L_timer re-armed IT1: bill the arms and
+        restore IT1 where the last completed window (ending at ``end``)
+        left it; later (live or replayed-tail) windows take over."""
         self.watchdog_arms += count
+        self.nic.timers[1].set_deadline(end + self.watchdog_interval_us)
 
     def sample_stats(self, now: float) -> dict:
         """Add the watchdog track to the read-only projection.
 
-        Only whole parked windows re-arm IT1 in the replay
-        (``_replay_windows``); a straddled window's front half counts an
-        invocation but its arm rides the tail callback, so the
-        projection mirrors that split exactly.
+        Whole parked windows re-arm IT1, as the replay bills them; a
+        straddled window's arm rides its tail callback.  (The second
+        walk resumes at ``now``, so it steps nothing.)
         """
         stats = super().sample_stats(now)
-        arms = self.watchdog_arms
-        if self._parked:
-            whole, _mid = self._parked_projection(now)
-            arms += whole
-        stats["watchdog_arms"] = arms
+        stats["watchdog_arms"] = self.watchdog_arms \
+            + self._parked_windows(now)[0]
         return stats
-
-    def _unpark_timers(self, prev_window_end: float) -> None:
-        """Restore IT1 exactly where the live chain would have left it.
-
-        The last completed housekeeping window re-armed the watchdog at
-        its end; subsequent (live or replayed-tail) windows take over
-        from there.
-        """
-        self.nic.timers[1].set_deadline(
-            prev_window_end + self.watchdog_interval_us)
 
     # FTGM ticks do observable work even when the dispatch loop is idle:
     # every L_timer re-arms the watchdog (IT1) and clears the FTD's magic

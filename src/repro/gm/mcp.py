@@ -23,7 +23,7 @@ marked "FTGM hook" below.
 
 from __future__ import annotations
 
-import os
+import math
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ..errors import GmError
@@ -43,6 +43,31 @@ from .streams import RxStream, StreamKey, TxStream
 from .tokens import RecvToken, SendToken
 
 __all__ = ["Mcp", "McpPort"]
+
+
+def _walk_ticks(tick: float, bound: float, last: float,
+                max_gap: float) -> Tuple[int, float, float, float]:
+    """Step the L_timer chain over every window ending at or before ``bound``.
+
+    The one definition of the tick chain: a tick at T runs a 1.5 us
+    housekeeping window [T, T + 1.5], and the tail re-arms IT0 at the
+    window end, so the next tick starts at ``(T + 1.5) + interval`` —
+    the exact float the live path produces.  Starting from the tick at
+    ``tick``, returns (windows crossed, next tick start, last tick
+    start, max gap), the gaps measured from ``last`` and folded into
+    ``max_gap``.  The idle fold, the parked replay and the sampler's
+    projection all step the chain here.
+    """
+    interval = C.L_TIMER_INTERVAL_US
+    count = 0
+    while tick + 1.5 <= bound:
+        gap = tick - last
+        if gap > max_gap:
+            max_gap = gap
+        last = tick
+        count += 1
+        tick = (tick + 1.5) + interval
+    return count, tick, last, max_gap
 
 
 class McpPort:
@@ -72,6 +97,11 @@ class Mcp:
     # folded into arithmetic (see _idle_skip_deadline).  Subclasses whose
     # L_timer does observable work every tick turn this off.
     _idle_skip = True
+    # Tickless idle: an IT0 expiry that finds the dispatch loop parked
+    # with nothing else to do is serviced by two small callbacks instead
+    # of resuming the generator twice per tick (see _fused_l_timer).
+    # Tests turn it off to compare against the live generator path.
+    _tickless = True
 
     def __init__(self, sim: Simulator, nic: Nic, node_id: int,
                  tracer: Optional[Tracer] = None,
@@ -101,11 +131,6 @@ class Mcp:
         self.dead_reason: Optional[str] = None
         self._wake = None
         self._proc = None
-        # Tickless idle: an IT0 expiry that finds the dispatch loop
-        # parked with nothing else to do is serviced by two small
-        # callbacks instead of resuming the generator twice per tick
-        # (see _fused_l_timer).  REPRO_TICKLESS=0 disables the fast path.
-        self._tickless = os.environ.get("REPRO_TICKLESS", "1") != "0"
         self._fuse_end = -1.0
         self._fused_cb = self._fused_l_timer
         self._fused_tail_cb = self._fused_tail
@@ -120,6 +145,7 @@ class Mcp:
         self._parked = False
         self._park_next_tick = 0.0   # when the next tick would start
         self._park_prev_end = 0.0    # last completed housekeeping window
+        self._projected = None       # the sampler's cursor, see _park
 
         # Interpreted-mode machinery.
         self.cpu: Optional[LanaiCpu] = None
@@ -157,19 +183,12 @@ class Mcp:
     def set_lazy(self, enabled: bool) -> None:
         """Opt this MCP in (or out) of idle parking.
 
-        ``REPRO_LAZY=1``/``0`` overrides either way; anything else (or
-        unset) keeps the caller's choice.  Parking rides on the tickless
-        machinery and replays whole windows arithmetically, so it is
-        unavailable when tickless is disabled or the firmware path is
-        interpreted (an interpreter tick is not pure bookkeeping).
+        Parking happens in the fused tail, so without ``_tickless`` it
+        never does.  It replays whole windows arithmetically, so it is
+        unavailable when the firmware path is interpreted (an
+        interpreter tick is not pure bookkeeping).
         """
-        env = os.environ.get("REPRO_LAZY", "")
-        if env == "1":
-            enabled = True
-        elif env == "0":
-            enabled = False
-        self._lazy = bool(enabled) and self._tickless \
-            and not self.interpreted
+        self._lazy = bool(enabled) and not self.interpreted
 
     def start(self) -> None:
         """Begin dispatch; arm IT0 (the L_timer driver)."""
@@ -312,21 +331,25 @@ class Mcp:
     # -- dispatch loop -----------------------------------------------------------
 
     def _isr_listener(self, mask: int) -> None:
-        if mask & IsrBits.IT0_EXPIRED and self._tickless and self.running:
-            wake = self._wake
-            if (wake is not None and wake.callbacks is not None
-                    and not wake._scheduled and not self.host_requests):
-                now = self.sim._now
-                if not any(a[0] <= now for a in self.alarms):
-                    # Idle tick: service L_timer via callbacks, leaving
-                    # the dispatch generator parked.  The zero-delay
-                    # timeout lands at the exact heap position (same
-                    # sequence draw) the wake resume would have taken,
-                    # so event ordering is unchanged.
-                    t = self.sim.timeout(0.0)
-                    t.callbacks.append(self._fused_cb)
-                    return
+        if (mask & IsrBits.IT0_EXPIRED and self._tickless
+                and self._idle_tick(self.sim._now)):
+            # Idle tick: service L_timer via callbacks, leaving the
+            # dispatch generator parked.  The zero-delay timeout lands at
+            # the exact heap position (same sequence draw) the wake
+            # resume would have taken, so event ordering is unchanged.
+            t = self.sim.timeout(0.0)
+            t.callbacks.append(self._fused_cb)
+            return
         self._kick()
+
+    def _idle_tick(self, now: float) -> bool:
+        """IT0 at ``now`` may take the fused path: dispatch is parked and
+        L_timer would be empty (no host request, no due alarm)."""
+        wake = self._wake
+        return (self.running and wake is not None
+                and wake.callbacks is not None and not wake._scheduled
+                and not self.host_requests
+                and not any(a[0] <= now for a in self.alarms))
 
     def _kick(self) -> None:
         if self._parked:
@@ -386,28 +409,31 @@ class Mcp:
         if ok:
             yield from self._handle_doorbell(bell)
             return True
-        # 4. Retransmit deadlines.  (The dict is scanned directly and the
-        # winner handled only after iteration ends — handlers may mutate
-        # tx_streams, so acting mid-iteration would be unsafe, but a
-        # per-poll list() copy is not needed just to *find* the stream.)
-        now = self.sim.now
-        found = None
+        # 4. Retransmit deadlines, then 5. one sendable fragment.
+        work = self._stream_work(self.sim.now)
+        if work is None:
+            return False
+        handler, stream = work
+        yield from handler(stream)
+        return True
+
+    def _stream_work(self, now: float) -> Optional[Tuple]:
+        """(handler, stream) for the tx-stream work dispatch does next.
+
+        A passed retransmit deadline goes first, then a sendable
+        fragment; None when neither exists.  (The dict is scanned
+        directly and the winner handled only after iteration ends —
+        handlers may mutate tx_streams, so acting mid-iteration would
+        be unsafe, but a per-poll list() copy is not needed just to
+        *find* the stream.)
+        """
         for stream in self.tx_streams.values():
             if stream.deadline is not None and stream.deadline <= now:
-                found = stream
-                break
-        if found is not None:
-            yield from self._handle_timeout(found)
-            return True
-        # 5. Pump one sendable fragment.
+                return self._handle_timeout, stream
         for stream in self.tx_streams.values():
             if stream.has_sendable():
-                found = stream
-                break
-        if found is not None:
-            yield from self._send_fragment(found)
-            return True
-        return False
+                return self._send_fragment, stream
+        return None
 
     # -- L_timer ------------------------------------------------------------------
 
@@ -420,13 +446,7 @@ class Mcp:
         reset."
         """
         now = self.sim.now
-        if self.l_timer_last is not None:
-            gap = now - self.l_timer_last
-            if gap > self.l_timer_max_gap:
-                self.l_timer_max_gap = gap
-        self.l_timer_last = now
-        self.l_timer_invocations += 1
-        self.nic.status.clear_bits(IsrBits.HOST_REQUEST)
+        self._tick_front(now)
 
         if self.host_requests:
             requests, self.host_requests = self.host_requests, []
@@ -444,39 +464,43 @@ class Mcp:
         self._l_timer_extra()
         self.nic.timers[0].set_us(C.L_TIMER_INTERVAL_US)
 
+    def _tick_front(self, tick: float) -> None:
+        """The bookkeeping every L_timer entry does at its tick start."""
+        last = self.l_timer_last
+        if last is not None:
+            gap = tick - last
+            if gap > self.l_timer_max_gap:
+                self.l_timer_max_gap = gap
+        self.l_timer_last = tick
+        self.l_timer_invocations += 1
+        self.nic.status.clear_bits(IsrBits.HOST_REQUEST)
+
+    def _open_window(self, tick: float) -> None:
+        """Open a fused housekeeping window at ``tick``: front half now,
+        the tail at its end — the heap entry the real path's 1.5 us
+        charge makes.  Kicks are suppressed until then (see _kick)."""
+        self._tick_front(tick)
+        self.busy_time += 1.5
+        self._fuse_end = tick + 1.5
+        tail = self.sim.timeout_at(self._fuse_end)
+        tail.callbacks.append(self._fused_tail_cb)
+
     def _fused_l_timer(self, _event) -> None:
         """Front half of an idle-tick L_timer, run without the generator.
 
         Runs at the exact heap position the parked dispatch loop would
         have resumed at; replicates _step's IT0 branch plus an empty
-        L_timer (no host requests, no due alarms — the eligibility
-        conditions) and schedules the back half at the end of the 1.5 us
-        housekeeping charge, which is the same sequence draw the real
-        path's charge timeout makes.
+        L_timer.
         """
         status = self.nic.status
-        wake = self._wake
         now = self.sim._now
-        if (not self.running or wake is None or wake.callbacks is None
-                or wake._scheduled or self.host_requests
-                or not status.isr & IsrBits.IT0_EXPIRED
-                or any(a[0] <= now for a in self.alarms)):
+        if not (status.isr & IsrBits.IT0_EXPIRED and self._idle_tick(now)):
             # A same-instant arrival broke eligibility between the timer
             # notification and this callback: take the real path.
             self._kick()
             return
         status.isr &= ~IsrBits.IT0_EXPIRED
-        if self.l_timer_last is not None:
-            gap = now - self.l_timer_last
-            if gap > self.l_timer_max_gap:
-                self.l_timer_max_gap = gap
-        self.l_timer_last = now
-        self.l_timer_invocations += 1
-        status.clear_bits(IsrBits.HOST_REQUEST)
-        self.busy_time += 1.5
-        self._fuse_end = now + 1.5
-        tail = self.sim.timeout(1.5)
-        tail.callbacks.append(self._fused_tail_cb)
+        self._open_window(now)
 
     def _fused_tail(self, _event) -> None:
         """Back half of an idle-tick L_timer: the post-charge work.
@@ -490,30 +514,17 @@ class Mcp:
         """
         self._l_timer_extra()
         it0 = self.nic.timers[0]
-        if not self.running:
-            # Real path: the loop breaks and the process ends; wake the
-            # parked generator so it can observe running=False and exit.
+        if self.running and self.paused:
             it0.set_us(C.L_TIMER_INTERVAL_US)
-            self._kick()
-            return
-        if self.paused:
-            it0.set_us(C.L_TIMER_INTERVAL_US)
-            return
-        if self.nic.recv_ring.items or self.doorbells.items:
-            it0.set_us(C.L_TIMER_INTERVAL_US)
-            self._kick()
             return
         now = self.sim._now
-        for stream in self.tx_streams.values():
-            if stream.deadline is not None and stream.deadline <= now:
-                it0.set_us(C.L_TIMER_INTERVAL_US)
-                self._kick()
-                return
-        for stream in self.tx_streams.values():
-            if stream.has_sendable():
-                it0.set_us(C.L_TIMER_INTERVAL_US)
-                self._kick()
-                return
+        # A stopped MCP kicks too: the real loop breaks and the process
+        # ends, so the parked generator must wake to observe it.
+        if (not self.running or self.nic.recv_ring.items
+                or self.doorbells.items or self._stream_work(now)):
+            it0.set_us(C.L_TIMER_INTERVAL_US)
+            self._kick()
+            return
         # Fully quiescent and lazy: leave the wheel entirely.  Unlike
         # the fold below this needs no horizon scan — any event that
         # could affect this MCP necessarily touches it (packet, bell,
@@ -533,38 +544,40 @@ class Mcp:
         if self.alarms or self.host_requests or not self._idle_skip:
             it0.set_us(C.L_TIMER_INTERVAL_US)
             return
-        deadline = self._idle_skip_deadline(now)
-        if deadline is None:
-            it0.set_us(C.L_TIMER_INTERVAL_US)
-        else:
-            it0.set_deadline(deadline)
+        it0.set_deadline(self._idle_skip_deadline(now))
         self.sim.inert.add(it0.pending_event)
 
-    def _idle_skip_deadline(self, now: float) -> Optional[float]:
+    # -- the tick chain ------------------------------------------------------------
+
+    def _run_windows(self, tick: float, bound: float) -> Tuple[int, float]:
+        """Walk the chain from ``tick`` to ``bound`` and bill the crossed
+        windows as if they ran live; returns (windows, next tick start)."""
+        count, tick, last, max_gap = _walk_ticks(
+            tick, bound, self.l_timer_last, self.l_timer_max_gap)
+        self.l_timer_invocations += count
+        self.busy_time += 1.5 * count
+        self.l_timer_last = last
+        self.l_timer_max_gap = max_gap
+        return count, tick
+
+    def _idle_skip_deadline(self, now: float) -> float:
         """Fast-forward over idle L_timer ticks; return the IT0 deadline.
 
         Called from the fused tail once the work scan proved the MCP
         idle.  Scans the event heap for the earliest event that could
         change anything — skipping events marked inert (replaced timer
-        expiries, peers' committed idle ticks) — and absorbs every
-        upcoming tick whose
-        whole 1.5 us housekeeping window strictly precedes it: their
-        invocation counts, busy time and gap statistics are applied
-        arithmetically on the same floats the real per-tick path would
-        have produced, so the MCP state at the next live event is
-        bitwise identical.  Returns the absolute expiry time for the
-        first tick that must run for real, or ``None`` when no tick can
-        be skipped (then the caller re-arms periodically as usual).
+        expiries, peers' committed idle ticks) — and bills every upcoming
+        tick whose whole 1.5 us housekeeping window strictly precedes it
+        through the chain walk, so the MCP state at the next live event
+        is bitwise identical.  Returns the absolute expiry time for the
+        first tick that must run for real: ``now + interval`` — what
+        the periodic re-arm would set — when no tick can be skipped.
 
         Correctness leans on one invariant: between now and the chosen
         deadline the heap holds only inert events, and an inert event
         never creates work for anyone — so no doorbell, packet, alarm or
-        host request can appear inside the skipped span.
-
-        That invariant only holds when idle ticks are pure bookkeeping,
-        which is a plain-GM property: subclasses whose L_timer maintains
-        externally probed state (FTGM's watchdog and magic word) disable
-        the fold via ``_idle_skip``.
+        host request can appear inside the skipped span.  (It holds only
+        while idle ticks are pure bookkeeping; see ``_idle_skip``.)
         """
         # The external-work horizon spans the whole schedule, not just
         # this MCP's own events.
@@ -572,28 +585,12 @@ class Mcp:
         if t_ext == float("inf"):
             # Only inert events left: without a live horizon the skip is
             # unbounded, so keep ticking periodically.
-            return None
-        interval = C.L_TIMER_INTERVAL_US
-        # Exact replay of the re-arm chain: the tick after a tick at T
-        # lands at (T + 1.5) + interval, charged from the tail.
-        tick = now + interval
-        skipped = 0
-        last = self.l_timer_last
-        max_gap = self.l_timer_max_gap
-        while tick + 1.5 < t_ext:
-            gap = tick - last
-            if gap > max_gap:
-                max_gap = gap
-            last = tick
-            skipped += 1
-            tick = (tick + 1.5) + interval
-        if not skipped:
-            return None
-        self.l_timer_invocations += skipped
-        self.busy_time += 1.5 * skipped
+            return now + C.L_TIMER_INTERVAL_US
+        # The chain walk's bound is inclusive; a window must end strictly
+        # before the live event, so bound it one float below.
+        skipped, tick = self._run_windows(
+            now + C.L_TIMER_INTERVAL_US, math.nextafter(t_ext, -math.inf))
         self.ticks_absorbed += skipped
-        self.l_timer_last = last
-        self.l_timer_max_gap = max_gap
         return tick
 
     # -- lazy node parking ---------------------------------------------------------
@@ -622,86 +619,82 @@ class Mcp:
         """Quiesce off the wheel: no IT0, nothing scheduled at all.
 
         Called from the fused tail's idle branch, so IT0 has expired
-        and was not re-armed; the watchdog hook stops IT1 (a parked
-        FTGM node must not trip its own watchdog — the FTD only probes
-        after an IT1 FATAL, so a stopped IT1 also parks the daemon).
-        ``now`` is the housekeeping window end; the next tick would
-        have started one interval later, which anchors the replay chain.
+        and was not re-armed.  IT1 stops too: it is FTGM's watchdog
+        (plain GM never arms it), and a parked FTGM node must not trip
+        its own watchdog — the FTD only probes after an IT1 FATAL, so a
+        stopped IT1 also parks the daemon.  ``now`` is the housekeeping
+        window end; the next tick would have started one interval
+        later, which anchors the replay chain.
         """
-        self._park_timers()
+        self.nic.timers[1].stop()
         self._parked = True
         self._park_prev_end = now
         self._park_next_tick = now + C.L_TIMER_INTERVAL_US
+        # (instant, next tick, whole windows) of the last projection.
+        self._projected = (now, self._park_next_tick, 0)
         self.tracer.emit(now, self.name, "mcp_parked")
 
     def _unpark(self) -> None:
         """Replay the parked span and restore the timer chain.
 
         Runs inside the first ``_kick`` after parking, before dispatch
-        wakes.  Missed whole windows (tick start T, busy span
-        [T, T+1.5]) are applied arithmetically on the exact floats the
-        live chain would have produced; the straddled window — if the
-        wake lands inside one — is split exactly like the live fused
-        path: front-half stats now, tail callback at the window end,
-        kicks suppressed in between.  A wake landing exactly on a tick
-        start raw-sets IT0_EXPIRED so dispatch takes the real L_timer
-        path (the live ordering: the expiry event predates the waking
-        event's kick).
+        wakes.  Missed whole windows, up to and including one ending on
+        the waking touch, are billed through the chain walk; the
+        straddled window, if the wake lands inside one, is opened as
+        the live fused path opens it (``_open_window``).  A wake
+        landing exactly on a tick start raw-sets IT0_EXPIRED so dispatch
+        takes the real L_timer path (the live ordering: the expiry event
+        predates the waking event's kick).
         """
         self._parked = False
         now = self.sim._now
-        interval = C.L_TIMER_INTERVAL_US
-        tick = self._park_next_tick
-        prev_end = self._park_prev_end
-        last = self.l_timer_last
-        max_gap = self.l_timer_max_gap
-        replayed = 0
-        while tick + 1.5 <= now:
-            gap = tick - last
-            if gap > max_gap:
-                max_gap = gap
-            last = tick
-            replayed += 1
-            prev_end = tick + 1.5
-            tick = prev_end + interval
-        if replayed:
-            self.l_timer_invocations += replayed
-            self.busy_time += 1.5 * replayed
-            self.ticks_parked += replayed
-            self.l_timer_last = last
-            self.l_timer_max_gap = max_gap
-            self._replay_windows(replayed)
-        it0 = self.nic.timers[0]
-        status = self.nic.status
+        replayed, tick = self._run_windows(self._park_next_tick, now)
+        self.ticks_parked += replayed
+        # The last completed window's end, which re-armed the watchdog.
+        end = self.l_timer_last + 1.5
         if tick > now:
             # Between windows: arm IT0 on the exact chain float.  The
             # plain-GM fold marks its committed expiries inert (pure
             # bookkeeping ticks); FTGM ticks stay live.
+            it0 = self.nic.timers[0]
             it0.set_deadline(tick)
             if self._idle_skip:
                 self.sim.inert.add(it0.pending_event)
         elif tick == now:
             # IT0 is not in the IMR, so expiry only sets the ISR bit —
             # raw-set it and let dispatch run the real _l_timer.
-            status.isr |= IsrBits.IT0_EXPIRED
+            self.nic.status.isr |= IsrBits.IT0_EXPIRED
         else:
             # Mid-window wake (tick < now < tick + 1.5): the live fused
-            # front already ran at ``tick``; apply it and schedule the
-            # tail at the window end.
-            gap = tick - self.l_timer_last
-            if gap > self.l_timer_max_gap:
-                self.l_timer_max_gap = gap
-            self.l_timer_last = tick
-            self.l_timer_invocations += 1
+            # front already ran at ``tick``.
             self.ticks_parked += 1
-            status.clear_bits(IsrBits.HOST_REQUEST)
-            self.busy_time += 1.5
-            self._fuse_end = tick + 1.5
-            tail = self.sim.timeout_at(tick + 1.5)
-            tail.callbacks.append(self._fused_tail_cb)
-        self._unpark_timers(prev_end)
+            self._open_window(tick)
+        self._replay_windows(replayed, end)
         self.tracer.emit(now, self.name, "mcp_unparked",
                          replayed=replayed)
+
+    def _replay_windows(self, count: int, end: float) -> None:
+        """FTGM hook: ``count`` windows replayed, the last ended at ``end``."""
+
+    def _parked_windows(self, now: float) -> Tuple[int, int]:
+        """(whole windows, straddled window) of the parked span at ``now``.
+
+        The read-only side of ``_unpark``: the same chain walk to the
+        same inclusive bound, without billing anything.  Samples arrive
+        in time order, so the walk resumes from the last projected
+        instant (``_park`` resets it) and a run's sampling costs linear
+        work in its parked ticks; an earlier instant walks from the
+        park anchor again.
+        """
+        if not self._parked:
+            return 0, 0
+        at, tick, whole = self._projected
+        if now < at:
+            tick, whole = self._park_next_tick, 0
+        count, tick, _, _ = _walk_ticks(tick, now, tick, 0.0)
+        whole += count
+        self._projected = (now, tick, whole)
+        return whole, 1 if tick < now else 0
 
     def settle_idle(self) -> None:
         """Replay a parked MCP up to the current instant (observation).
@@ -721,55 +714,12 @@ class Mcp:
         ``settle_idle`` would be wrong: replaying the parked span into
         the live counters changes every later fold, so a sampled run
         would diverge from an unsampled one.  Instead, project what the
-        always-ticking execution would show at ``now`` over the frozen
-        park state — the same window arithmetic as ``_unpark``, applied
-        to local copies.
+        always-ticking execution would show at ``now`` through
+        ``_parked_windows``.
         """
-        invocations = self.l_timer_invocations
-        parked = self.ticks_parked
-        if self._parked:
-            whole, mid = self._parked_projection(now)
-            invocations += whole + mid
-            parked += whole + mid
-        return {"l_timer_invocations": invocations,
-                "ticks_parked": parked}
-
-    def _parked_projection(self, now: float) -> Tuple[int, int]:
-        """(whole windows elapsed, straddled window) while parked at ``now``.
-
-        Mirrors ``_unpark``'s replay chain — tick starts at
-        ``_park_next_tick``, each window spans ``[T, T + 1.5]`` and the
-        next starts one interval after the end — computed closed-form
-        with a float-correction loop so the count lands on the exact
-        floats the live chain produces.
-        """
-        interval = C.L_TIMER_INTERVAL_US
-        span = interval + 1.5
-        tick = self._park_next_tick
-        whole = 0
-        if tick + 1.5 <= now:
-            whole = int((now - 1.5 - tick) // span) + 1
-            tick += whole * span
-            # Float rounding can land the closed form one window short
-            # (or long) of the exact chain; settle on the replay's own
-            # predicate.
-            while tick + 1.5 <= now:
-                whole += 1
-                tick += span
-            while whole and tick - span + 1.5 > now:
-                whole -= 1
-                tick -= span
-        mid = 1 if tick < now else 0
-        return whole, mid
-
-    def _park_timers(self) -> None:
-        """FTGM hook: stop the watchdog timer across the parked span."""
-
-    def _replay_windows(self, count: int) -> None:
-        """FTGM hook: per-window L_timer side effects (watchdog arms)."""
-
-    def _unpark_timers(self, prev_window_end: float) -> None:
-        """FTGM hook: restore the watchdog deadline after a parked span."""
+        whole, mid = self._parked_windows(now)
+        return {"l_timer_invocations": self.l_timer_invocations + whole + mid,
+                "ticks_parked": self.ticks_parked + whole + mid}
 
     def _handle_host_request(self, request: Tuple) -> Generator:
         kind = request[0]

@@ -152,7 +152,7 @@ def classify_anomaly(outcome: Any,
     if verdict is not None and getattr(verdict, "passed", True) is False:
         try:
             stages = sorted({s.stage for s in verdict.failed_stages()})
-        except Exception:
+        except AttributeError:   # a verdict without per-stage results
             stages = []
         return "slo-breach: %s" % (",".join(stages) or "unknown-stage")
     if getattr(outcome, "workload_completed", True) is False:

@@ -56,10 +56,7 @@ def harvest_cluster(cluster, *, fault_at: Optional[float] = None) -> None:
     # is on or off, which keeps post-harvest cluster state — and any
     # outcome fields read from it later — byte-identical either way.
     for node in cluster.nodes:
-        mcp = node.driver.mcp
-        settle = getattr(mcp, "settle_idle", None)
-        if settle is not None:
-            settle()
+        node.driver.mcp.settle_idle()
 
     # Continuous plane: the sampler's tracks and the flight recorder's
     # end instant are fixed here, where the run is known finished.  Both
@@ -116,7 +113,7 @@ def harvest_cluster(cluster, *, fault_at: Optional[float] = None) -> None:
         inc("mcp.ticks_absorbed", mcp.ticks_absorbed)
         # Only lazy fabrics ever park; keep the counter out of eager
         # clusters' reports so pre-lazy telemetry stays byte-identical.
-        if getattr(mcp, "ticks_parked", 0):
+        if mcp.ticks_parked:
             inc("mcp.ticks_parked", mcp.ticks_parked)
         watchdog_arms = getattr(mcp, "watchdog_arms", None)
         if watchdog_arms is not None:                 # FTGM firmware only

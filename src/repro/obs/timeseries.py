@@ -13,8 +13,8 @@ Two deliberate disciplines keep sampling honest:
 * **Nothing mutates.**  Reading a lazily-parked MCP must not wake it
   (``settle_idle`` replays the parked span *into* the counters, changing
   later folds), so parked nodes are sampled through
-  ``Mcp.sample_stats`` — a read-only projection mirroring ``_unpark``'s
-  replay arithmetic.
+  ``Mcp.sample_stats`` — a read-only projection that calls the same
+  tick-chain walk as ``_unpark``'s replay.
 * **Off costs nothing.**  The sampler only exists when the engine's
   ``--sample-every`` intent is set (see ``repro.obs.runtime``); with it
   unset ``build_cluster`` installs nothing — no timer events, no
@@ -154,11 +154,7 @@ def _mcp_reader(node, key: str) -> Callable[[float], float]:
     the always-ticking execution would show at ``now`` without waking.
     """
     def read(now: float) -> float:
-        mcp = node.driver.mcp
-        stats = getattr(mcp, "sample_stats", None)
-        if stats is None:
-            return getattr(mcp, key, 0)
-        return stats(now).get(key, 0)
+        return node.driver.mcp.sample_stats(now).get(key, 0)
     return read
 
 

@@ -2,11 +2,13 @@
 spelling, ``repro run <name>``; run/list work."""
 
 import json
+import subprocess
 
 import pytest
 
 from repro.ckpt.snapshot import restore_snapshot, take_snapshot
 from repro.cli import main
+from repro.exp import results as results_module
 from repro.exp import runner as runner_module
 from repro.exp.registry import Experiment, all_experiments, \
     experiment_names, get_experiment
@@ -200,3 +202,27 @@ class TestExecutorRule:
     def test_forkserver_false_withholds_the_boot(self, executor):
         assert executor("closfault", {"scale": "small"},
                         forkserver=False) == "in-process"
+
+
+class TestGitRevision:
+    """Provenance degrades to "unknown" only for a missing or failing
+    ``git``; anything else is a bug and propagates."""
+
+    def _run_raising(self, monkeypatch, exc):
+        def run(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(results_module.subprocess, "run", run)
+
+    def test_missing_git_is_unknown(self, monkeypatch):
+        self._run_raising(monkeypatch, FileNotFoundError("git"))
+        assert results_module.git_revision() == "unknown"
+
+    def test_failing_git_is_unknown(self, monkeypatch):
+        self._run_raising(monkeypatch, subprocess.CalledProcessError(
+            128, ["git", "rev-parse", "HEAD"]))
+        assert results_module.git_revision() == "unknown"
+
+    def test_other_errors_propagate(self, monkeypatch):
+        self._run_raising(monkeypatch, RuntimeError("not a git failure"))
+        with pytest.raises(RuntimeError, match="not a git failure"):
+            results_module.git_revision()

@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro.errors import InvalidInstruction
 from repro.faults.outcomes import Category, InjectionOutcome
 from repro.faults.surface import (
     FieldKind,
     analyze_surface,
     classify_bit,
 )
-from repro.lanai import build_firmware, decode
+from repro.lanai import build_firmware, decode, isa
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +60,20 @@ class TestClassifyBit:
                 assert field == FieldKind.PAD
                 return
         pytest.fail("no nop found in send_chunk")
+
+    def test_data_word_classifies_as_immediate(self, firmware, monkeypatch):
+        def invalid(word, pc=0):
+            raise InvalidInstruction(word, pc)
+        monkeypatch.setattr(isa, "decode", invalid)
+        field, _ = classify_bit(firmware, 20)
+        assert field == FieldKind.IMMEDIATE
+
+    def test_decoder_bug_propagates(self, firmware, monkeypatch):
+        def broken(word, pc=0):
+            raise RuntimeError("decoder bug")
+        monkeypatch.setattr(isa, "decode", broken)
+        with pytest.raises(RuntimeError, match="decoder bug"):
+            classify_bit(firmware, 20)
 
 
 class TestSurfaceReport:

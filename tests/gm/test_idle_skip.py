@@ -20,13 +20,14 @@ contract the skip's event-scan relies on.
 import pytest
 
 from repro.cluster import build_cluster
+from repro.gm.mcp import Mcp
 from repro.payload import Payload
 
 QUIET_US = 500_000.0
 
 
 def _scenario(monkeypatch, tickless):
-    monkeypatch.setenv("REPRO_TICKLESS", "1" if tickless else "0")
+    monkeypatch.setattr(Mcp, "_tickless", tickless)
     cluster = build_cluster(2, flavor="gm")
     sim = cluster.sim
     done = {}

@@ -131,15 +131,3 @@ class TestDefaults:
         for cluster, expect in ((below, False), (at, True)):
             cluster.sim.run(until=cluster.sim.now + IDLE_US)
             assert bool(_parked(cluster)) is expect
-
-    def test_env_override_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LAZY", "0")
-        cluster = _cluster("gm", lazy=True)
-        cluster.sim.run(until=cluster.sim.now + IDLE_US)
-        assert _parked(cluster) == []
-
-    def test_env_override_enables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LAZY", "1")
-        cluster = _cluster("gm", lazy=False)
-        cluster.sim.run(until=cluster.sim.now + IDLE_US)
-        assert len(_parked(cluster)) == 16

@@ -140,6 +140,18 @@ class TestTriggerTaxonomy:
             verdict=_Verdict(False, ["spike", "cooldown", "spike"]))
         assert classify_anomaly(outcome) == "slo-breach: cooldown,spike"
 
+    def test_verdict_without_stage_results_names_none(self):
+        outcome = SimpleNamespace(verdict=SimpleNamespace(passed=False))
+        assert classify_anomaly(outcome) == "slo-breach: unknown-stage"
+
+    def test_stage_lookup_bug_propagates(self):
+        def failed_stages():
+            raise RuntimeError("verdict bug")
+        outcome = SimpleNamespace(verdict=SimpleNamespace(
+            passed=False, failed_stages=failed_stages))
+        with pytest.raises(RuntimeError, match="verdict bug"):
+            classify_anomaly(outcome)
+
     def test_passed_verdict_is_clean(self):
         outcome = SimpleNamespace(verdict=_Verdict(True),
                                   workload_completed=True)

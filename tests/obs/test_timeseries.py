@@ -7,11 +7,15 @@ reading a lazily-parked MCP never wakes it.
 """
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import build_cluster
 from repro.exp.registry import get_experiment
+from repro.gm.constants import L_TIMER_INTERVAL_US
 from repro.exp.results import validate_result
 from repro.exp.runner import run_experiment
 from repro.obs import runtime as obs_runtime
@@ -156,8 +160,7 @@ class TestParkedSampling:
         cluster = build_cluster(n_nodes=2, flavor="ftgm", lazy=True)
         cluster.sim.run(until=80_000)
         mcp = cluster.nodes[1].driver.mcp
-        if not mcp._parked:
-            pytest.skip("node never parked in this window")
+        assert mcp._parked, "idle lazy FTGM node should have parked"
         projected = mcp.sample_stats(cluster.sim.now)
         mcp.settle_idle()
         assert mcp.l_timer_invocations \
@@ -174,6 +177,52 @@ class TestParkedSampling:
         stats = mcp.sample_stats(cluster.sim.now)
         assert stats["l_timer_invocations"] == mcp.l_timer_invocations
         assert stats["watchdog_arms"] == mcp.watchdog_arms
+
+
+class TestProjectionIsReplay:
+    """The sampler's projection walks the same chain as the replay.
+
+    A non-dyadic chain base makes ``(T + 1.5) + interval`` round, so
+    the window count at an instant on (or one ulp beside) a window
+    boundary depends on stepping the exact floats the replay steps.
+    """
+
+    @staticmethod
+    def _boundary(base, windows, edge, ulps):
+        tick = base + L_TIMER_INTERVAL_US
+        for _ in range(windows):
+            tick = (tick + 1.5) + L_TIMER_INTERVAL_US
+        instant = tick + 1.5 if edge == "end" else tick
+        for _ in range(abs(ulps)):
+            instant = math.nextafter(instant, math.copysign(math.inf, ulps))
+        return instant
+
+    @given(flavor=st.sampled_from(["gm", "ftgm"]),
+           base=st.integers(30_000, 10_000_000).map(lambda n: n / 7),
+           windows=st.integers(0, 3000),
+           edge=st.sampled_from(["start", "end"]),
+           ulps=st.sampled_from([-1, 0, 1]))
+    @settings(max_examples=150)
+    def test_projection_equals_settled_counters(self, flavor, base,
+                                                windows, edge, ulps):
+        cluster = build_cluster(n_nodes=2, flavor=flavor, lazy=True)
+        cluster.sim.run(until=2000)
+        mcp = cluster.nodes[1].driver.mcp
+        assert mcp._parked
+        # Re-park on the non-dyadic window end ``base``.
+        mcp.l_timer_last = base - 1.5
+        mcp._park(base)
+        assert mcp._park_next_tick == base + L_TIMER_INTERVAL_US
+        instant = self._boundary(base, windows, edge, ulps)
+        cluster.sim.run(until=instant)
+        assert mcp._parked
+        projected = mcp.sample_stats(instant)
+        mcp.settle_idle()
+        settled = {"l_timer_invocations": mcp.l_timer_invocations,
+                   "ticks_parked": mcp.ticks_parked}
+        if flavor == "ftgm":
+            settled["watchdog_arms"] = mcp.watchdog_arms
+        assert projected == settled
 
 
 class TestEngineIntegration:
