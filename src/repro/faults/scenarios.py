@@ -21,6 +21,7 @@ from typing import Optional
 from ..ckpt.pause import drive_run, map_outcome
 from ..errors import GmError
 from ..exp.spec import ClusterSpec
+from ..obs.harvest import harvest_cluster
 from ..payload import Payload
 from .naive import naive_reload
 
@@ -180,10 +181,10 @@ def run_figure5(cluster, pause_at: Optional[float] = None):
 def resume_figure(cluster, config: FigureConfig, pause_at=None):
     """Run ``config``'s figure on the ``boot_run`` cluster: did the bug
     (a duplicate for Fig. 4, a lost message for Fig. 5) show?"""
-    if config.figure == 4:
-        return map_outcome(run_figure4(cluster, pause_at),
-                           lambda result: {"name": config.name,
-                                           "bad": result.duplicate})
-    return map_outcome(run_figure5(cluster, pause_at),
-                       lambda result: {"name": config.name,
-                                       "bad": result.lost})
+    def outcome(result):
+        harvest_cluster(cluster)
+        bad = result.duplicate if config.figure == 4 else result.lost
+        return {"name": config.name, "bad": bad}
+
+    run = run_figure4 if config.figure == 4 else run_figure5
+    return map_outcome(run(cluster, pause_at), outcome)

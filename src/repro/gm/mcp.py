@@ -45,9 +45,18 @@ from .tokens import RecvToken, SendToken
 __all__ = ["Mcp", "McpPort"]
 
 
+#: A walk with fewer windows than this left steps them one at a time:
+#: the binade jump costs about as much as stepping that many.
+_STEP_WINDOWS = 8
+
+#: The binade [2^e, 2^(e+1)) of a tick T, in units of ulp(T) = 2^(e-52),
+#: is [2^52, 2^53).
+_BINADE_UNITS = 1 << 53
+
+
 def _walk_ticks(tick: float, bound: float, last: float,
                 max_gap: float) -> Tuple[int, float, float, float]:
-    """Step the L_timer chain over every window ending at or before ``bound``.
+    """Walk the L_timer chain over every window ending at or before ``bound``.
 
     The one definition of the tick chain: a tick at T runs a 1.5 us
     housekeeping window [T, T + 1.5], and the tail re-arms IT0 at the
@@ -56,10 +65,27 @@ def _walk_ticks(tick: float, bound: float, last: float,
     ``tick``, returns (windows crossed, next tick start, last tick
     start, max gap), the gaps measured from ``last`` and folded into
     ``max_gap``.  The idle fold, the parked replay and the sampler's
-    projection all step the chain here.
+    projection all walk the chain here.
+
+    The walk is exact and costs O(binades), not O(windows).  While a
+    tick T stays in one binade [2^e, 2^(e+1)) and both 1.5 and the
+    interval are multiples of ulp(T), every sum along the chain is a
+    multiple of ulp(T) below 2^(e+1), hence representable: ``(T + 1.5)
+    + interval`` is exactly T + period, the k-th tick is exactly
+    T + k * period, each window end compares against ``bound`` without
+    rounding, and each gap is exactly ``period``.  So all the windows
+    one binade holds are counted in one step, in integer units of
+    ulp(T).  Windows are stepped one at a time only where that argument
+    does not reach: the first (its gap is measured from an arbitrary
+    ``last``), those that cross a binade edge (their sums round), all
+    of them once a constant is not a multiple of ulp(T) (it never
+    becomes one: ulp only grows along the chain), and walks shorter
+    than ``_STEP_WINDOWS`` windows, which never pay for the ulp.
+    Ticks are simulated instants, so never negative.
     """
     interval = C.L_TIMER_INTERVAL_US
     count = 0
+    exact = True
     while tick + 1.5 <= bound:
         gap = tick - last
         if gap > max_gap:
@@ -67,6 +93,28 @@ def _walk_ticks(tick: float, bound: float, last: float,
         last = tick
         count += 1
         tick = (tick + 1.5) + interval
+        if not exact or bound - tick <= _STEP_WINDOWS * interval:
+            continue
+        ulp = math.ulp(tick)
+        if math.fmod(1.5, ulp) or math.fmod(interval, ulp):
+            exact = False
+            continue
+        start = int(tick / ulp)
+        half = int(1.5 / ulp)
+        period = half + int(interval / ulp)
+        # Windows whose next tick stays inside the binade, and windows
+        # that end at or before the bound.
+        jump = min((_BINADE_UNITS - 1 - start) // period,
+                   (math.floor(bound / ulp) - half - start) // period + 1)
+        if jump > 0:
+            gap = tick - last
+            if gap > max_gap:
+                max_gap = gap
+            if jump > 1 and period * ulp > max_gap:
+                max_gap = period * ulp
+            last = (start + (jump - 1) * period) * ulp
+            tick = (start + jump * period) * ulp
+            count += jump
     return count, tick, last, max_gap
 
 

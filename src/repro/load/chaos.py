@@ -123,10 +123,9 @@ def resume_slo_chaos(cluster, config: SloChaosConfig, pause_at=None):
                         sim.now + fault_at, config.scenario,
                         flap_down_us=config.flap_down_us,
                         corrupt_rate=config.corrupt_rate)
-    if config.flavor == "ftgm":
-        # Path detectors drive reroute recovery; plain GM runs without
-        # them — that asymmetry *is* the experiment.
-        arm_detectors(cluster)
+    # Path detectors drive reroute recovery; plain GM gets none — that
+    # asymmetry *is* the experiment.
+    arm_detectors(cluster)
 
     def grade(result) -> SloChaosOutcome:
         observations = observe_stages(result)

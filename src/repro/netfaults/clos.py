@@ -205,9 +205,10 @@ def resume_closfault(cluster, config: ClosFaultConfig,
     """Inject a compound scenario and classify, on a booted cluster.
 
     Detectors are armed only on workload-active nodes (with the 3-tier
-    scout TTL): on a hundreds-of-nodes fabric the other nodes stay
-    parked — a sweeping detector per idle node would keep every MCP
-    awake for nothing.  ``pause_at`` passes straight through to
+    scout TTL), and only on FTGM cells (:func:`arm_detectors`): on a
+    hundreds-of-nodes fabric the other nodes stay parked — a sweeping
+    detector per idle node would keep every MCP awake for nothing.
+    ``pause_at`` passes straight through to
     :func:`repro.netfaults.campaign.resume_netfault`.
     """
     active = sorted({node for pair in (config.pairs or ())

@@ -151,8 +151,8 @@ class PathDetector:
                 self._hang_seen = mcp
                 self._record(-1, Verdict.NIC_HANG)
             return
-        ftd = getattr(self.driver, "ftd", None)
-        if ftd is not None and ftd.rerouting:
+        ftd = self.driver.ftd
+        if ftd.rerouting:
             # The mapper is live on this node: its discovery shares our
             # agent reply store, so probing now would steal its replies.
             return
@@ -169,7 +169,7 @@ class PathDetector:
                 continue  # debounce: we already ruled on this path
             verdict = yield from self._classify(dest)
             self._record(dest, verdict)
-            if verdict == Verdict.PATH_DEAD and ftd is not None:
+            if verdict == Verdict.PATH_DEAD:
                 ftd.notify_path_fault(dest)
                 # One reroute refreshes every route; re-sweep later.
                 return
@@ -230,17 +230,21 @@ class PathDetector:
 
 def arm_detectors(cluster, nodes: Optional[List[int]] = None,
                   **kwargs) -> List[PathDetector]:
-    """Start one :class:`PathDetector` per node of an FTGM cluster.
+    """Start one :class:`PathDetector` per FTGM node of ``cluster``.
 
-    ``nodes`` restricts arming to the listed node ids — on a
-    hundreds-of-nodes fabric only the workload-active nodes have tx
-    streams to sweep, and idle nodes must stay parked (a sweeping
+    Detection is armed only where recovery follows: a node whose driver
+    carries no FTD (plain GM) gets no detector, since nothing would act
+    on its verdicts.  ``nodes`` restricts arming to the listed node ids
+    — on a hundreds-of-nodes fabric only the workload-active nodes have
+    tx streams to sweep, and idle nodes must stay parked (a sweeping
     detector would keep every MCP awake).
     """
     detectors = []
     wanted = None if nodes is None else set(nodes)
     for node in cluster.nodes:
         if wanted is not None and node.node_id not in wanted:
+            continue
+        if getattr(node.driver, "ftd", None) is None:
             continue
         detector = PathDetector(node.driver, tracer=cluster.tracer,
                                 **kwargs)

@@ -19,6 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 from ..ckpt.pause import map_outcome
 from ..exp.spec import ClusterSpec
+from ..obs.harvest import harvest_cluster
 
 __all__ = ["SLICE_US", "PairConfig", "resume_pair", "resume_point",
            "check_nodes", "check_pair"]
@@ -48,19 +49,27 @@ class PairConfig:
 
 
 def resume_pair(cluster, config: PairConfig, pause_at=None):
-    """Run ``config`` on the ``boot_run`` cluster; its raw result."""
+    """Run ``config`` on the ``boot_run`` cluster; its raw result, with
+    the cluster harvested once the result is computed."""
     from .allsize import run_allsize
     from .pingpong import run_pingpong
     from .utilization import measure_utilization
 
     if config.kind == "bandwidth":
-        return run_allsize(cluster, config.size, messages=config.count,
+        run = run_allsize(cluster, config.size, messages=config.count,
+                          pause_at=pause_at)
+    elif config.kind == "latency":
+        run = run_pingpong(cluster, config.size, iterations=config.count,
                            pause_at=pause_at)
-    if config.kind == "latency":
-        return run_pingpong(cluster, config.size, iterations=config.count,
-                            pause_at=pause_at)
-    return measure_utilization(cluster, messages=config.count,
-                               size=config.size, pause_at=pause_at)
+    else:
+        run = measure_utilization(cluster, messages=config.count,
+                                  size=config.size, pause_at=pause_at)
+
+    def harvested(result):
+        harvest_cluster(cluster)
+        return result
+
+    return map_outcome(run, harvested)
 
 
 def resume_point(cluster, config: PairConfig, pause_at=None):

@@ -6,6 +6,7 @@ from repro.exp.registry import get_experiment
 from repro.exp.spec import ClusterSpec
 from repro.netfaults.campaign import NetCategory
 from repro.netfaults.clos import ClosFaultConfig, cross_fabric_pairs
+from repro.netfaults.detector import Verdict, arm_detectors
 
 run_one = get_experiment("closfault").run_one
 
@@ -61,11 +62,20 @@ class TestCompoundRecovery:
         outcome = run_one(_config("spine-loss", "ftgm"))
         assert outcome.category == NetCategory.REROUTE
         assert outcome.delivered_once == outcome.messages_expected
+        assert Verdict.PATH_DEAD in {v for _t, _d, v in outcome.verdicts}
 
     def test_spine_loss_gm_deadlocks(self):
-        # Plain GM has no path detector: same fault, stuck stream.
+        # Plain GM has no path detector — nothing would act on its
+        # verdicts — so the same fault leaves a stuck stream and no
+        # verdict at all.
         outcome = run_one(_config("spine-loss", "gm"))
         assert outcome.category == NetCategory.DEADLOCKED
+        assert outcome.verdicts == []
+
+    def test_plain_gm_arms_no_detector(self):
+        config = _config("spine-loss", "gm")
+        cluster = get_experiment("closfault").boot(config)
+        assert arm_detectors(cluster) == []
 
     def test_rack_loss_recovers_by_retransmission(self):
         # A dead edge switch partitions its rack — no reroute exists.

@@ -90,6 +90,15 @@ class TestSnapshotSemantics:
         assert any(k.startswith("recovery.phase.") for k in hists)
         assert "recovery.total_us" in hists
 
+    @pytest.mark.parametrize("name, params", [
+        ("fig7", {"messages": 3}), ("fig8", {"iterations": 2}),
+        ("table2", {"iterations": 2}), ("fig45", {})])
+    def test_paper_figures_report_counters(self, name, params):
+        result, _ = _doc(name, params, telemetry=True)
+        counters = result.telemetry.counters
+        assert counters["mcp.packets_sent"] > 0
+        assert counters["link.packets_carried"] > 0
+
     def test_disabled_run_attaches_no_telemetry(self):
         result, _ = _doc("table1", {"runs": 2})
         assert result.telemetry is None
